@@ -1,12 +1,12 @@
 """Engineering benchmark: ResultStore read/write throughput.
 
-Not a paper artefact — this times the segment-backed store against the
-legacy JSON-per-cell layout on identical synthetic campaigns, so store
-performance regressions are visible in CI the same way simulator
-throughput regressions are.  The populate/read operations come from
-the same module as ``python -m repro bench --store``
-(:mod:`repro.harness.storebench`), so the CLI's JSON report and these
-pytest-benchmark numbers always measure the same thing.
+Not a paper artefact — this times the segment-backed store on
+synthetic campaigns, so store performance regressions are visible in
+CI the same way simulator throughput regressions are.  The
+populate/read operations come from the same module as ``python -m
+repro bench --store`` (:mod:`repro.harness.storebench`), so the CLI's
+JSON report and these pytest-benchmark numbers always measure the same
+thing.
 
 Cell count defaults to 1000; ``REPRO_STORE_BENCH_CELLS`` overrides it
 (CI smoke keeps it small, perf investigations raise it).
@@ -17,7 +17,7 @@ import shutil
 
 import pytest
 
-from repro.harness.store import LegacyResultStore, ResultStore
+from repro.harness.store import ResultStore
 from repro.harness.storebench import (
     run_store_bench,
     synthetic_key,
@@ -25,46 +25,42 @@ from repro.harness.storebench import (
 )
 
 CELLS = int(os.environ.get("REPRO_STORE_BENCH_CELLS", "1000"))
-BACKENDS = ("legacy", "segment")
 
 
-def populate(root, backend, count=CELLS):
-    writer = (LegacyResultStore if backend == "legacy" else ResultStore)(root)
+def populate(root, count=CELLS):
+    writer = ResultStore(root)
     keys = []
     for index in range(count):
         key = synthetic_key(index)
         writer.save(key, synthetic_result(index), {"index": index})
         keys.append(key)
-    if hasattr(writer, "close"):
-        writer.close()
+    writer.close()
     return keys
 
 
-@pytest.fixture(scope="module", params=BACKENDS)
-def populated(request, tmp_path_factory):
-    """(backend, root, keys): one pre-built store per backend."""
-    backend = request.param
-    root = tmp_path_factory.mktemp("store-bench-" + backend)
-    keys = populate(root, backend)
-    yield backend, root, keys
+@pytest.fixture(scope="module")
+def populated(tmp_path_factory):
+    """(root, keys): one pre-built store shared by the read benchmarks."""
+    root = tmp_path_factory.mktemp("store-bench")
+    keys = populate(root)
+    yield root, keys
     shutil.rmtree(root, ignore_errors=True)
 
 
 def test_store_write_throughput(benchmark, tmp_path):
-    """Segment-store save() throughput (fresh store per round)."""
+    """save() throughput (fresh store per round)."""
     counter = [0]
 
     def run():
         counter[0] += 1
-        root = tmp_path / ("round-%d" % counter[0])
-        populate(root, "segment", count=200)
+        populate(tmp_path / ("round-%d" % counter[0]), count=200)
 
     benchmark(run)
 
 
 def test_store_load_many(benchmark, populated):
     """Bulk point-lookup of every key (the analysis hot path)."""
-    backend, root, keys = populated
+    root, keys = populated
 
     def run():
         store = ResultStore(root)
@@ -78,7 +74,7 @@ def test_store_load_many(benchmark, populated):
 
 def test_store_iter_results_columnar(benchmark, populated):
     """Full-store scan touching only hot statistics (``metrics`` path)."""
-    backend, root, keys = populated
+    root, keys = populated
 
     def run():
         store = ResultStore(root)
@@ -92,8 +88,8 @@ def test_store_iter_results_columnar(benchmark, populated):
 
 
 def test_store_keys_listing(benchmark, populated):
-    """keys()/len() — index-only on segments, directory scan on legacy."""
-    backend, root, keys = populated
+    """keys()/len() — a manifest index read."""
+    root, keys = populated
 
     def run():
         store = ResultStore(root)
@@ -104,11 +100,12 @@ def test_store_keys_listing(benchmark, populated):
     assert sorted(benchmark(run)) == sorted(keys)
 
 
-def test_store_bench_report_speedups():
+def test_store_bench_report():
     """The aggregate CLI report (``python -m repro bench --store``) at a
-    smoke-sized cell count; asserts the headline speedups are sane."""
+    smoke-sized cell count: every operation timed, every cell stored."""
     report = run_store_bench(cell_counts=(200,))
-    ratios = report["speedup"]["200"]
-    assert ratios["load_many"] > 1.0
-    assert ratios["iter_results"] > 1.0
-    assert ratios["keys"] > 1.0
+    ops = report["cells"]["200"]
+    assert set(ops) == {"write", "keys", "load_many", "load_many_stats",
+                        "iter_results", "iter_full"}
+    assert all(op["seconds"] > 0 for op in ops.values())
+    assert report["store_stats"]["200"]["compression_ratio"] > 1.0

@@ -1,111 +1,112 @@
 #!/usr/bin/env python
 """Telemetry-overhead smoke: the disabled observability path is free.
 
-Two assertions, scriptable in CI:
+Two deterministic assertions, scriptable in CI, over every throughput
+workload under every grid scheme:
 
-1. *Same machine* — an observability-enabled run (cycle accounting +
+1. *No residue* — with every observability sink left at ``None``,
+   constructing and running the core makes zero Python calls into
+   :mod:`repro.obs`.  Calls are counted with :func:`sys.setprofile`,
+   so the verdict does not depend on host timing.
+2. *Same machine* — an observability-enabled run (cycle accounting +
    pipeline tracing) simulates exactly the cycles and instructions of
-   the plain run, per workload.  The test suite pins slot-level
-   byte-identity on the golden grid; this repeats the check at bench
-   scale as a crash canary.
-2. *No residue* — two obs-disabled throughput passes agree within a
-   tolerance (default 3%): merely importing and constructing the
-   observability subsystem must not slow the disabled path down.
-   Timings are best-of-N per workload and the comparison retries a few
-   times, keeping the best pair, so scheduler noise cannot flake CI.
-
-The enabled-path overhead is printed for the record but *not*
-asserted — accounting does real per-cycle work and its cost is
-allowed to drift.
+   the plain run.  The test suite pins slot-level byte-identity on the
+   golden grid; this repeats the check at bench scale as a crash
+   canary.
 
 Usage::
 
-    PYTHONPATH=src python scripts/overhead_smoke.py [--scale 0.25]
+    PYTHONPATH=src python scripts/overhead_smoke.py [--scale 0.1]
 """
 
 import argparse
+import os
 import sys
-import time
 
+import repro.obs
 from repro.core.factory import make_scheme
+from repro.core.registry import grid_scheme_names
 from repro.harness.bench import throughput_suite
 from repro.obs import CycleAccount, PipeTracer
 from repro.pipeline.config import MEGA
 from repro.pipeline.core import OoOCore
 
+OBS_DIR = os.path.dirname(os.path.abspath(repro.obs.__file__)) + os.sep
 
-def run_suite(suite, repeats, observed):
-    """Best-of-N wall time over the suite; returns (wall, shape).
 
-    ``shape`` is the tuple of (cycles, instructions) per workload —
-    the identity the enabled path must reproduce exactly.
+def run_counting(program, scheme, warm):
+    """Build and run one obs-off core under a call profiler.
+
+    Returns ``(result, calls, obs_calls)`` where ``obs_calls`` maps each
+    :mod:`repro.obs` function entered to its call count.
     """
-    total = 0.0
-    shape = []
-    for _label, program, warm in suite:
-        best = None
-        for _ in range(repeats):
-            sinks = {}
-            if observed:
-                sinks = {"account": CycleAccount(),
-                         "tracer": PipeTracer(limit=1000)}
-            core = OoOCore(program, config=MEGA,
-                           scheme=make_scheme("baseline"),
-                           warm_caches=warm, **sinks)
-            start = time.perf_counter()
-            result = core.run()
-            wall = time.perf_counter() - start
-            if best is None or wall < best:
-                best = wall
-        total += best
-        shape.append((result.cycles, result.stats.committed_instructions))
-    return total, tuple(shape)
+    calls = [0]
+    obs_calls = {}
+
+    def profiler(frame, event, _arg):
+        if event != "call":
+            return
+        calls[0] += 1
+        code = frame.f_code
+        if code.co_filename.startswith(OBS_DIR):
+            name = "%s:%s" % (os.path.basename(code.co_filename),
+                              code.co_name)
+            obs_calls[name] = obs_calls.get(name, 0) + 1
+
+    sys.setprofile(profiler)
+    try:
+        core = OoOCore(program, config=MEGA, scheme=make_scheme(scheme),
+                       warm_caches=warm)
+        result = core.run()
+    finally:
+        sys.setprofile(None)
+    return result, calls[0], obs_calls
+
+
+def run_observed(program, scheme, warm):
+    core = OoOCore(program, config=MEGA, scheme=make_scheme(scheme),
+                   warm_caches=warm, account=CycleAccount(),
+                   tracer=PipeTracer(limit=1000))
+    return core.run()
+
+
+def shape(result):
+    return result.cycles, result.stats.committed_instructions
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--tolerance", type=float, default=0.03,
-                        help="max fractional gap between disabled passes")
-    parser.add_argument("--attempts", type=int, default=4,
-                        help="noisy-pair retries before failing")
+    parser.add_argument("--scale", type=float, default=0.1,
+                        help="throughput-suite iteration multiplier"
+                             " (default %(default)s)")
     args = parser.parse_args(argv)
 
-    suite = list(throughput_suite(scale=args.scale))
+    failures = []
+    total_calls = 0
+    for label, program, warm in throughput_suite(scale=args.scale):
+        for scheme in grid_scheme_names():
+            cell = "%s/%s" % (label, scheme)
+            plain, calls, obs_calls = run_counting(program, scheme, warm)
+            total_calls += calls
+            if obs_calls:
+                failures.append("%s: obs-off run called into repro.obs: %s"
+                                % (cell, ", ".join(
+                                    "%s x%d" % item
+                                    for item in sorted(obs_calls.items()))))
+            observed = run_observed(program, scheme, warm)
+            if shape(observed) != shape(plain):
+                failures.append(
+                    "%s: observability changed the simulated machine:"
+                    " %r != %r" % (cell, shape(observed), shape(plain)))
+            print("%-32s cycles=%-7d calls=%-8d obs calls=%d"
+                  % (cell, plain.cycles, calls, sum(obs_calls.values())))
 
-    base_wall, base_shape = run_suite(suite, args.repeats, observed=False)
-    print("pass 1 (obs off): %.3fs" % base_wall)
-
-    best_gap = None
-    for attempt in range(1, args.attempts + 1):
-        wall, shape = run_suite(suite, args.repeats, observed=False)
-        assert shape == base_shape, "disabled rerun diverged"
-        gap = abs(wall - base_wall) / min(wall, base_wall)
-        print("pass %d (obs off): %.3fs  gap %.2f%%"
-              % (attempt + 1, wall, gap * 100.0))
-        if best_gap is None or gap < best_gap:
-            best_gap = gap
-        if best_gap <= args.tolerance:
-            break
-
-    obs_wall, obs_shape = run_suite(suite, args.repeats, observed=True)
-    if obs_shape != base_shape:
-        print("FAIL: observability changed the simulated machine: "
-              "%r != %r" % (obs_shape, base_shape), file=sys.stderr)
+    for failure in failures:
+        print("FAIL: %s" % failure, file=sys.stderr)
+    if failures:
         return 1
-    overhead = (obs_wall - base_wall) / base_wall * 100.0
-    print("enabled path: %.3fs (%+.1f%% vs disabled, informational)"
-          % (obs_wall, overhead))
-
-    if best_gap > args.tolerance:
-        print("FAIL: disabled passes disagree by %.2f%% (> %.0f%%) after "
-              "%d attempts — the disabled path is not overhead-free"
-              % (best_gap * 100.0, args.tolerance * 100.0, args.attempts),
-              file=sys.stderr)
-        return 1
-    print("ok: disabled-path passes within %.2f%% (tolerance %.0f%%)"
-          % (best_gap * 100.0, args.tolerance * 100.0))
+    print("ok: 0 repro.obs calls out of %d with sinks off; obs on"
+          " simulates the identical machine" % total_calls)
     return 0
 
 

@@ -70,7 +70,7 @@ def main(argv=None):
         lap("verify")
 
         stats = store.stats()
-        if stats["cells"] != args.cells or stats["legacy_cells"]:
+        if stats["cells"] != args.cells:
             return fail("stats() miscounts cells: %r" % (stats,))
         if stats["compression_ratio"] <= 1.0:
             return fail("segment compression never engaged")

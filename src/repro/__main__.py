@@ -34,12 +34,10 @@ Subcommands:
     corrupt cells aside (``.corrupt``) and drops stale ones,
     ``store gc`` evicts everything outside the standard campaign grid
     for the given scale/seed and reports the bytes reclaimed,
-    ``store stats`` prints cell/segment counts, bytes on disk,
-    compression ratio, and the legacy-format flag, ``store compact``
-    folds live records into fresh sealed segments, ``store migrate``
-    converts legacy JSON-per-cell files into segment records in place,
-    and ``store failures`` lists recorded cell failures (exit 1 when
-    any exist).
+    ``store stats`` prints cell/segment counts, bytes on disk, and
+    compression ratio, ``store compact`` folds live records into fresh
+    sealed segments, and ``store failures`` lists recorded cell
+    failures (exit 1 when any exist).
 ``schemes``
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
@@ -50,8 +48,7 @@ Subcommands:
     trajectory can track kernel regressions (``--record PATH`` also
     writes the JSON to a file, e.g. ``BENCH_PR3.json`` at the repo
     root).  ``bench --store`` benchmarks the result store instead:
-    write/load_many/iter throughput for the legacy JSON-per-cell
-    layout vs the segment backend at ``--store-cells`` sizes.
+    write/keys/load_many/iter throughput at ``--store-cells`` sizes.
 ``profile``
     cProfile one grid cell (default: the ``chase-cold`` throughput
     workload on mega/baseline) and print the top cumulative entries —
@@ -217,16 +214,14 @@ def build_parser():
         "store", help="maintain the persistent result store")
     store.add_argument("action",
                        choices=("verify", "gc", "stats", "compact",
-                                "migrate", "failures"),
+                                "failures"),
                        help="verify: quarantine corrupt cells aside and"
                             " drop stale ones; gc: evict cells outside"
                             " the standard grid (reports bytes"
                             " reclaimed); stats: cell/segment counts,"
-                            " bytes on disk, compression ratio, legacy"
-                            " flag; compact: fold live records into"
-                            " fresh sealed segments; migrate: convert"
-                            " legacy JSON-per-cell files into segments"
-                            " in place; failures: list recorded cell"
+                            " bytes on disk, compression ratio; compact:"
+                            " fold live records into fresh sealed"
+                            " segments; failures: list recorded cell"
                             " failures (exit 1 when any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
@@ -270,9 +265,8 @@ def build_parser():
                             " mismatch)")
     bench.add_argument("--store", action="store_true",
                        help="benchmark the result store instead of the"
-                            " simulator: write/load_many/iter"
-                            " throughput, legacy JSON-per-cell vs"
-                            " segment backend (see --store-cells)")
+                            " simulator: write/keys/load_many/iter"
+                            " throughput (see --store-cells)")
     bench.add_argument("--store-cells", default="1000,10000",
                        metavar="N[,N...]",
                        help="store bench: comma-separated cell counts"
@@ -540,20 +534,16 @@ def cmd_store(args):
     if args.action == "stats":
         stats = store.stats()
         print("store stats (%s): format %s" % (store.root, stats["format"]))
-        print("  cells: %d segment-backed, %d legacy JSON%s"
-              % (stats["cells"], stats["legacy_cells"],
-                 " — run 'store migrate' to convert"
-                 if stats["legacy"] else ""))
+        print("  cells: %d" % stats["cells"])
         print("  segments: %d (%s; live %s of raw %s, ratio %s)"
               % (stats["segments"], _format_bytes(stats["segment_bytes"]),
                  _format_bytes(stats["live_bytes"]),
                  _format_bytes(stats["raw_bytes"]),
                  "%.2fx" % stats["compression_ratio"]
                  if stats["compression_ratio"] else "n/a"))
-        print("  disk: %s total (manifest %s, legacy %s)"
+        print("  disk: %s total (manifest %s)"
               % (_format_bytes(stats["disk_bytes"]),
-                 _format_bytes(stats["manifest_bytes"]),
-                 _format_bytes(stats["legacy_bytes"])))
+                 _format_bytes(stats["manifest_bytes"])))
         print("  failures recorded: %d" % stats["failures"])
         return 0
     if args.action == "compact":
@@ -567,11 +557,6 @@ def cmd_store(args):
                  ", %d corrupt dropped" % summary["corrupt_dropped"]
                  if summary["corrupt_dropped"] else ""))
         return 0
-    if args.action == "migrate":
-        summary = store.migrate()
-        print("store migrate (%s): %d cell(s) migrated, %d skipped"
-              % (store.root, summary["migrated"], summary["skipped"]))
-        return 0 if not summary["skipped"] else 1
     if args.action == "failures":
         failures = store.failures()
         for record in failures:

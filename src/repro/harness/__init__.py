@@ -24,9 +24,7 @@ shared segment files indexed by a SQLite manifest::
 
 Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
 zlib(canonical JSON)`` where the JSON payload is the envelope
-``{"key", "model_version", "meta", "result"}`` — the same envelope the
-original JSON-file-per-cell layout stored, so the logical format never
-changed.  The manifest's ``cells`` table maps every *full* 64-hex key
+``{"key", "model_version", "meta", "result"}``.  The manifest's ``cells`` table maps every *full* 64-hex key
 to its segment/offset/length and carries the benchmark/config/scheme
 columns, hot counters, and a per-cell statistics blob: ``keys()`` and
 ``len()`` are pure index reads, ``load_many`` returns lazily-decoded
@@ -37,18 +35,12 @@ columnar with zero segment I/O.  Writers append a record and flush
 tail — never an indexed cell without bytes; each writer instance owns
 its segment, so concurrent writers never interleave.
 ``ResultStore.compact()`` folds live records into fresh sealed
-segments and reclaims dead bytes.
-
-**Legacy stores and migration.**  The original layout — one atomic
-JSON file per cell, ``<benchmark>__<config>__<scheme>__<digest12>.json``
-in the store root — is still read transparently wherever such files
-exist (:class:`~repro.harness.store.LegacyResultStore` is the intact
-reader/writer); the manifest wins when both hold a key.  ``python -m
-repro store migrate`` folds legacy files into segments in place,
-preserving each envelope verbatim (key, meta, and ``model_version``
-stamp included), and ``python -m repro store stats`` reports cell/
-segment counts, bytes on disk, compression ratio, and whether any
-legacy cells remain.
+segments and reclaims dead bytes, and ``python -m repro store stats``
+reports cell/segment counts, bytes on disk, and compression ratio.
+Segments are the only format the store reads: stray ``*.json`` files
+in the store root are ignored, and a manifest of another format is
+refused with a message to remove or move the store aside — it is a
+cache, rebuilt by rerunning the campaign.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)
@@ -60,7 +52,7 @@ neighbours are salvaged, the damaged segment is set aside as
 ``*.corrupt``) and drops version-stale cells, ``ResultStore.gc(
 keep_keys)`` evicts everything outside a caller-supplied key set and
 reports the bytes reclaimed, and all of it is scriptable as
-``python -m repro store {verify,gc,stats,compact,migrate}``.
+``python -m repro store {verify,gc,stats,compact}``.
 Maintenance verbs are offline operations: run them without concurrent
 writers.
 
@@ -171,9 +163,8 @@ cells of one benchmark generate its program once per process.
     python -m repro store gc --scale 1.0         # evict off-grid cells
     python -m repro store stats                  # cells/segments/bytes
     python -m repro store compact                # fold + reclaim segments
-    python -m repro store migrate                # legacy JSON -> segments
     python -m repro bench --record BENCH_PR3.json
-    python -m repro bench --store                # store backend benchmark
+    python -m repro bench --store                # result-store benchmark
 
 ``--jobs N`` fans simulation out over N workers, ``--executor``
 selects the backend explicitly, ``--progress`` streams live ETA lines,
@@ -186,7 +177,6 @@ from repro.harness.runner import CampaignRunner, shared_runner
 from repro.harness.store import (
     MODEL_VERSION,
     CellFailure,
-    LegacyResultStore,
     ResultStore,
     simulation_key,
 )
@@ -211,7 +201,6 @@ __all__ = [
     "CampaignRunner",
     "shared_runner",
     "ResultStore",
-    "LegacyResultStore",
     "CellFailure",
     "CampaignJournal",
     "journal_path",

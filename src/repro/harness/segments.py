@@ -1,7 +1,7 @@
 """Segment files + SQLite manifest: the ResultStore's on-disk format.
 
-The segment-backed store (format ``segments-v1``) replaces one JSON
-file per cell with two cooperating structures under the store root:
+The segment-backed store (format ``segments-v1``) keeps two
+cooperating structures under the store root:
 
 ``segments/seg-NNNNNN.seg``
     Append-only **segment files**.  Each record is::
@@ -11,7 +11,7 @@ file per cell with two cooperating structures under the store root:
         | "SBR1" | u32 big-end | u32 big-end| zlib(canonical JSON)   |
         +--------+-------------+------------+------------------------+
 
-    The payload is the same envelope the JSON-per-cell format stored
+    The payload is the cell's envelope
     (``{"key", "model_version", "meta", "result"}``), serialised as
     canonical JSON (sorted keys, compact separators) and
     zlib-compressed.  Records are the single source of truth: every
@@ -210,8 +210,10 @@ class Manifest:
                 conn.close()
                 raise RuntimeError(
                     "store manifest %s has format %r (this build reads %r);"
-                    " rebuild it with 'python -m repro store migrate'"
-                    % (self.path, row["v"], FORMAT_VERSION))
+                    " the store is a cache: remove or move aside %s and"
+                    " rerun to rebuild it"
+                    % (self.path, row["v"], FORMAT_VERSION,
+                       self.path.parent))
             self._conn = conn
         return self._conn
 

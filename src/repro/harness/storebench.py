@@ -1,16 +1,15 @@
-"""Store-scale microbenchmark: legacy JSON-per-cell vs segment backend.
+"""Store-scale microbenchmark for the segment-backed result store.
 
 Populates a store with synthetic-but-realistic campaign cells (full
 register file, a few hundred memory words, ~40 cycle-accounting
-extras — the shape real campaign results have) through each backend's
-writer, then times the read paths every consumer actually exercises,
-always through the public :class:`~repro.harness.store.ResultStore`
-facade so legacy and segment stores answer the *same* API calls:
+extras — the shape real campaign results have), then times the read
+paths every consumer actually exercises, always through the public
+:class:`~repro.harness.store.ResultStore` API:
 
 ``write``
     N ``save()`` calls (the coordinator's streaming-persist path).
 ``keys``
-    ``keys()`` — index scan vs open-and-parse-every-file.
+    ``keys()`` — a manifest index scan.
 ``load_many``
     Fresh store instance, one bulk ``load_many`` over every key — the
     campaign resume scan (results materialised, snapshots untouched).
@@ -19,14 +18,13 @@ facade so legacy and segment stores answer the *same* API calls:
     loaders' pattern.
 ``iter_results``
     ``iter_results(fields=("stats",))`` + a stall-accounting read per
-    cell — the ``python -m repro metrics`` / analysis pass.  Columnar
-    on the segment backend; the legacy layout has no columnar path, so
-    the same call transparently falls back to full decode there.
+    cell — the ``python -m repro metrics`` / analysis pass, served
+    columnar from the manifest.
 ``iter_full``
-    ``iter_results()`` with full snapshot decode on both backends —
-    the worst-case bound, reported for transparency.
+    ``iter_results()`` with full snapshot decode — the worst-case
+    bound, reported for transparency.
 
-Run via ``python -m repro bench --store`` (see ``BENCH_PR10.json``) or
+Run via ``python -m repro bench --store`` or
 :mod:`benchmarks/bench_store.py` under pytest-benchmark.
 """
 
@@ -35,7 +33,7 @@ import shutil
 import tempfile
 import time
 
-from repro.harness.store import LegacyResultStore, ResultStore
+from repro.harness.store import ResultStore
 from repro.pipeline.core import SimulationResult
 from repro.pipeline.stats import SimStats
 
@@ -92,10 +90,9 @@ def synthetic_result(index):
     )
 
 
-def _populate(root, backend, count):
-    """Write ``count`` synthetic cells through the backend's writer."""
-    writer = (LegacyResultStore(root) if backend == "legacy"
-              else ResultStore(root))
+def _populate(root, count):
+    """Write ``count`` synthetic cells; returns ``(keys, seconds)``."""
+    writer = ResultStore(root)
     keys = []
     start = time.perf_counter()
     for index in range(count):
@@ -105,8 +102,7 @@ def _populate(root, backend, count):
                                   "scale": 1.0, "seed": 2017})
         keys.append(key)
     elapsed = time.perf_counter() - start
-    if backend != "legacy":
-        writer.close()
+    writer.close()
     return keys, elapsed
 
 
@@ -161,8 +157,7 @@ def _read_ops(root, keys):
     return ops
 
 
-def run_store_bench(cell_counts=(1_000, 10_000), root=None,
-                    backends=("legacy", "segment")):
+def run_store_bench(cell_counts=(1_000, 10_000)):
     """Run the store benchmark; returns the JSON-ready report dict."""
     from repro.harness.bench import host_metadata
     from repro.harness.store import MODEL_VERSION
@@ -172,44 +167,27 @@ def run_store_bench(cell_counts=(1_000, 10_000), root=None,
         "model_version": MODEL_VERSION,
         "host": host_metadata(),
         "cell_counts": list(cell_counts),
-        "backends": {},
-        "speedup": {},
+        "cells": {},
+        "store_stats": {},
     }
-    base = None
-    if root is not None:
-        base = tempfile.mkdtemp(dir=str(root))
-    for backend in backends:
-        sections = report["backends"][backend] = {}
-        for count in cell_counts:
-            workdir = tempfile.mkdtemp(prefix="storebench-", dir=base)
-            try:
-                keys, write_seconds = _populate(workdir, backend, count)
-                ops = {"write": write_seconds}
-                ops.update(_read_ops(workdir, keys))
-                if backend != "legacy":
-                    disk = ResultStore(workdir).stats()
-                    sections.setdefault("store_stats", {})[str(count)] = {
-                        "segments": disk["segments"],
-                        "disk_bytes": disk["disk_bytes"],
-                        "compression_ratio": disk["compression_ratio"],
-                    }
-                sections[str(count)] = {
-                    op: {"seconds": round(seconds, 6),
-                         "cells_per_sec": round(count / seconds, 1)
-                         if seconds else None}
-                    for op, seconds in ops.items()
-                }
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)
-    if "legacy" in report["backends"] and "segment" in report["backends"]:
-        for count in cell_counts:
-            legacy = report["backends"]["legacy"][str(count)]
-            segment = report["backends"]["segment"][str(count)]
-            report["speedup"][str(count)] = {
-                op: round(legacy[op]["seconds"] / segment[op]["seconds"], 2)
-                for op in legacy
-                if op in segment and segment[op]["seconds"]
+    for count in cell_counts:
+        workdir = tempfile.mkdtemp(prefix="storebench-")
+        try:
+            keys, write_seconds = _populate(workdir, count)
+            ops = {"write": write_seconds}
+            ops.update(_read_ops(workdir, keys))
+            disk = ResultStore(workdir).stats()
+            report["store_stats"][str(count)] = {
+                "segments": disk["segments"],
+                "disk_bytes": disk["disk_bytes"],
+                "compression_ratio": disk["compression_ratio"],
             }
-    if base is not None:
-        shutil.rmtree(base, ignore_errors=True)
+            report["cells"][str(count)] = {
+                op: {"seconds": round(seconds, 6),
+                     "cells_per_sec": round(count / seconds, 1)
+                     if seconds else None}
+                for op, seconds in ops.items()
+            }
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
     return report

@@ -1,9 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import json
+import pathlib
+
 import pytest
 
 from repro import MEGA, SMALL, OoOCore, make_scheme, run_reference
 from repro.core.registry import scheme_names
+from repro.harness.store import MODEL_VERSION, cell_filename
+from repro.pipeline.core import SimulationResult
 from repro.workloads.generator import WorkloadProfile, generate_program
 
 #: Every registered scheme, straight from the registry — new variants
@@ -57,3 +62,39 @@ def small_profile(name="test", **overrides):
 
 def small_program(name="test", seed=1, **overrides):
     return generate_program(small_profile(name, **overrides), seed=seed)
+
+
+#: The golden equivalence fixture (see tests/pipeline/
+#: test_kernel_equivalence.py): one JSON envelope file per cell.
+GOLDEN_DIR = pathlib.Path(__file__).parent / "pipeline" / "golden_store"
+
+
+def load_golden(key):
+    """The golden :class:`SimulationResult` recorded under ``key``, or
+    ``None`` when the fixture has no such cell."""
+    for path in GOLDEN_DIR.glob("*__%s.json" % key[:12]):
+        with open(path) as handle:
+            data = json.load(handle)
+        if data["key"] == key:
+            return SimulationResult.from_dict(data["result"])
+    return None
+
+
+def save_golden(key, result, meta):
+    """Record one golden cell.
+
+    Writes the envelope ``{"key", "meta", "model_version", "result"}``
+    as sorted-key JSON under :func:`cell_filename`, the serialisation
+    every committed fixture file already has.
+    """
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    path = GOLDEN_DIR / cell_filename(
+        result.program_name, result.config_name, result.scheme_name, key)
+    envelope = {
+        "key": key,
+        "meta": dict(meta),
+        "model_version": MODEL_VERSION,
+        "result": result.to_dict(),
+    }
+    with open(path, "w") as handle:
+        json.dump(envelope, handle, sort_keys=True)

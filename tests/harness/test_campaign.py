@@ -137,37 +137,40 @@ def test_runner_preload_from_store(tmp_path):
 
 
 def test_store_verify_drops_corrupt_and_stale(tmp_path):
-    import json
+    from repro.harness.store import MODEL_VERSION
 
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     key = runner.cell_key(BENCH, SMALL, "baseline")
-    store.save(key, runner.run(BENCH, SMALL, "baseline"))
+    result = runner.run(BENCH, SMALL, "baseline")
+    store.save(key, result)
+    # Beside the healthy cell, in the same segment: a record without a
+    # result payload (corrupt) and one from an older model (stale).
+    store._append_envelope({"key": "c" * 64, "model_version": MODEL_VERSION,
+                            "meta": {}})
+    stale = dict(store.load_envelope(key))
+    stale["model_version"] = "0.0.0-ancient"
+    stale["key"] = "d" * 64
+    store._append_envelope(stale)
+    store.close()
+    # A second segment whose only record fails its CRC.
+    damaged = ResultStore(tmp_path)
+    segment = damaged.save("b" * 64, result)
+    damaged.close()
+    blob = bytearray(segment.read_bytes())
+    blob[16:20] = b"\xff\xff\xff\xff"
+    segment.write_bytes(bytes(blob))
 
-    # Legacy-format damage: corrupt/stale JSON cells in the store root
-    # keep their original verdict handling alongside segment cells.
-    corrupt = tmp_path / ("corrupt__x__y__%s.json" % ("b" * 12))
-    corrupt.write_text("{not json")
-    truncated = tmp_path / ("trunc__x__y__%s.json" % ("c" * 12))
-    truncated.write_text(json.dumps({"key": "c" * 64, "model_version":
-                                     "whatever"}))  # no result payload
-    stale_data = dict(store.load_envelope(key))
-    stale_data["model_version"] = "0.0.0-ancient"
-    stale_data["key"] = "d" * 64
-    stale = tmp_path / ("stale__x__y__%s.json" % ("d" * 12))
-    stale.write_text(json.dumps(stale_data))
-
+    store = ResultStore(tmp_path)
     summary = store.verify()
     assert summary == {"scanned": 4, "kept": 1, "corrupt": 2, "stale": 1}
-    # Corrupt cells are quarantined aside (forensics), not destroyed;
-    # stale cells (old model version) are plain deletions.
-    assert not corrupt.exists() and not truncated.exists()
-    assert (tmp_path / (corrupt.name + ".corrupt")).exists()
-    assert (tmp_path / (truncated.name + ".corrupt")).exists()
-    assert not stale.exists()
-    assert not (tmp_path / (stale.name + ".corrupt")).exists()
+    # Segments holding corrupt records are quarantined aside
+    # (forensics), not destroyed; the healthy cell was salvaged and the
+    # stale one dropped from the index.
+    assert len(list((tmp_path / "segments").glob("*.corrupt"))) == 2
     assert store.load(key) is not None  # the healthy cell survived
-    # The set-aside copies are invisible to the store (not *.json).
+    assert store.load("d" * 64) is None
+    # The set-aside copies are invisible to the store.
     assert len(store) == 1
     assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
                               "stale": 0}

@@ -44,11 +44,17 @@ def test_cli_store_verify_and_gc(tmp_path, capsys):
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     # One healthy in-grid cell (default scale 1.0 for gc, so save one
-    # at scale 1.0 identity), one corrupt file.
+    # at scale 1.0 identity), one corrupt record in its own segment.
     grid_runner = CampaignRunner(scale=1.0, benchmarks=(BENCH,))
     key = grid_runner.cell_key(BENCH, SMALL, "baseline")
     store.save(key, runner.run(BENCH, SMALL, "baseline"))
-    (tmp_path / ("junk__x__y__%s.json" % ("e" * 12))).write_text("{broken")
+    store.close()
+    junk = ResultStore(tmp_path)
+    segment = junk.save("e" * 64, runner.run(BENCH, SMALL, "nda"))
+    junk.close()
+    blob = bytearray(segment.read_bytes())
+    blob[16:20] = b"\xff\xff\xff\xff"  # kill the record's CRC
+    segment.write_bytes(bytes(blob))
 
     assert main(["store", "verify", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -336,3 +342,18 @@ def test_cli_bench_reports_host_metadata(tmp_path):
     host = json.loads(record.read_text())["host"]
     assert host["python"] and host["platform"]
     assert host["cpu_count"] >= 1
+
+
+def test_cli_store_stats_and_verbs(tmp_path, capsys):
+    from repro.harness.storebench import synthetic_key, synthetic_result
+
+    store = ResultStore(tmp_path)
+    store.save(synthetic_key(0), synthetic_result(0))
+    store.close()
+    assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "format segments-v1" in out and "cells: 1" in out
+    # Segments are the only format: there is nothing to migrate.
+    with pytest.raises(SystemExit) as info:
+        main(["store", "migrate", "--store-dir", str(tmp_path)])
+    assert info.value.code == 2

@@ -4,21 +4,23 @@ Complements the API-contract tests in ``test_campaign.py`` with the
 format-level guarantees the segment store introduces: full-key
 indexing (no digest-prefix ambiguity), O(index) key listing,
 writer/reader interleaving, torn-record crash recovery, corrupt
-segment quarantine, legacy-store reading, and migrate round-trips.
+segment quarantine, and refusal of foreign formats.
 """
 
 import json
 import shutil
+import sqlite3
 import threading
 
 import pytest
 
-from repro.harness.segments import SEGMENT_DIR, SEGMENT_SUFFIX
-from repro.harness.store import (
-    MODEL_VERSION,
-    LegacyResultStore,
-    ResultStore,
+from repro.harness.segments import (
+    FORMAT_VERSION,
+    MANIFEST_NAME,
+    SEGMENT_DIR,
+    SEGMENT_SUFFIX,
 )
+from repro.harness.store import MODEL_VERSION, ResultStore
 from repro.harness.storebench import synthetic_key, synthetic_result
 
 
@@ -42,8 +44,8 @@ def segment_files(root):
 # ----------------------------------------------------------------------
 
 def test_digest_prefix_collisions_are_not_ambiguous(tmp_path):
-    # Two keys sharing the legacy 12-hex filename prefix: the legacy
-    # index could only hold one; the manifest keys on the full digest.
+    # Two keys sharing the 12-hex filename prefix of cell_filename():
+    # the manifest keys on the full digest, so both survive.
     key_a = "ab" * 6 + "0" * 52
     key_b = "ab" * 6 + "f" * 52
     store = ResultStore(tmp_path)
@@ -277,7 +279,6 @@ def test_store_stats_accounting(tmp_path):
     stats = ResultStore(tmp_path).stats()
     assert stats["format"] == "segments-v1"
     assert stats["cells"] == 12
-    assert stats["legacy_cells"] == 0 and not stats["legacy"]
     assert stats["segments"] == 1
     assert stats["segment_bytes"] == stats["live_bytes"]  # no dead bytes
     assert stats["raw_bytes"] > stats["live_bytes"]  # compression won
@@ -298,77 +299,42 @@ def test_clear_removes_manifest_and_segments(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Legacy stores: transparent reads, migrate round-trip.
+# One format: foreign files and foreign manifests.
 # ----------------------------------------------------------------------
 
-def legacy_populate(root, count):
-    writer = LegacyResultStore(root)
-    keys = []
-    for index in range(count):
-        key = synthetic_key(index)
-        writer.save(key, synthetic_result(index), {"index": index})
-        keys.append(key)
-    return keys
-
-
-def test_legacy_store_reads_without_migration(tmp_path):
-    keys = legacy_populate(tmp_path, 5)
+def test_stray_json_files_in_root_are_ignored(tmp_path):
+    # A JSON-file-per-cell envelope in the store root is not a cell.
+    keys = populate(tmp_path, 2)
+    stray = tmp_path / ("bench__small__baseline__%s.json" % ("9" * 12))
+    stray.write_text(json.dumps({
+        "key": "9" * 64, "model_version": MODEL_VERSION, "meta": {},
+        "result": synthetic_result(9).to_dict()}, sort_keys=True))
     store = ResultStore(tmp_path)
-    assert len(store) == 5
-    assert sorted(store.keys()) == sorted(keys)
-    assert store.load(keys[2]).to_dict() == synthetic_result(2).to_dict()
-    loaded = store.load_many(keys)
-    assert len(loaded) == 5
-    assert len(list(store.iter_results())) == 5
-    assert len(list(store.iter_results(fields=("stats",)))) == 5
-    assert store.stats()["legacy"]
-
-
-def test_save_supersedes_legacy_twin(tmp_path):
-    (key,) = legacy_populate(tmp_path, 1)
-    store = ResultStore(tmp_path)
-    replacement = synthetic_result(42)
-    store.save(key, replacement)
-    assert len(store) == 1  # manifest won; the JSON twin is gone
-    assert not list(tmp_path.glob("*.json"))
-    assert store.load(key).to_dict() == replacement.to_dict()
-
-
-def test_migrate_round_trip_preserves_envelopes(tmp_path):
-    keys = legacy_populate(tmp_path, 6)
-    originals = {}
-    for path in tmp_path.glob("*.json"):
-        with open(path) as handle:
-            data = json.load(handle)
-        originals[data["key"]] = data
-    assert len(originals) == 6
-
-    store = ResultStore(tmp_path)
-    summary = store.migrate()
-    assert summary == {"migrated": 6, "skipped": 0}
-    assert not list(tmp_path.glob("*.json"))
-
-    reloaded = ResultStore(tmp_path)
-    assert len(reloaded) == 6
-    for key in keys:
-        # The migrated envelope — key, meta, model_version stamp, full
-        # result payload — is byte-for-byte the legacy one once both
-        # are canonicalised.
-        assert (json.dumps(reloaded.load_envelope(key), sort_keys=True)
-                == json.dumps(originals[key], sort_keys=True))
-        assert reloaded.load(key).to_dict() == originals[key]["result"]
-    assert not reloaded.stats()["legacy"]
-
-
-def test_migrate_skips_unreadable_files(tmp_path):
-    legacy_populate(tmp_path, 2)
-    bad = tmp_path / ("broken__x__y__%s.json" % ("9" * 12))
-    bad.write_text("{not json")
-    store = ResultStore(tmp_path)
-    summary = store.migrate()
-    assert summary == {"migrated": 2, "skipped": 1}
-    assert bad.exists()  # left in place for verify to judge
     assert len(store) == 2
+    assert sorted(store.keys()) == sorted(keys)
+    assert "9" * 64 not in store
+    assert store.load("9" * 64) is None
+    assert store.load_many(["9" * 64]) == {}
+    assert len(list(store.iter_results())) == 2
+    assert store.stats()["cells"] == 2
+    assert store.verify()["scanned"] == 2
+    store.clear()
+    assert stray.exists()
+
+
+def test_foreign_manifest_format_is_refused(tmp_path):
+    populate(tmp_path, 1)
+    db = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    db.execute("UPDATE meta SET v='segments-v0' WHERE k='format'")
+    db.commit()
+    db.close()
+    with pytest.raises(RuntimeError) as info:
+        len(ResultStore(tmp_path))
+    message = str(info.value)
+    assert "'segments-v0'" in message and repr(FORMAT_VERSION) in message
+    assert "cache" in message and "move aside" in message
+    assert str(tmp_path) in message
+    assert "migrate" not in message
 
 
 def test_lazy_results_survive_compaction(tmp_path):

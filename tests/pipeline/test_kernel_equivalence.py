@@ -4,11 +4,12 @@ The fast-path work on the kernel (event heap, idle-cycle fast-forward,
 wakeup-driven issue scheduling) is only legal because it is *cycle-for-
 cycle equivalent* to the reference stepping model.  This suite pins
 that claim to data: a small scheme x config x workload grid was
-simulated with the pre-fast-path kernel and stored — via the ordinary
-:class:`~repro.harness.store.ResultStore` — under ``golden_store/``
-next to this file.  Every test re-simulates one cell with the current
-kernel and asserts a bit-identical result: cycles, IPC, every stall and
-replay counter, and the final architectural registers and memory.
+simulated with the pre-fast-path kernel and stored as one JSON
+envelope file per cell under ``golden_store/`` next to this file (read
+and written by ``load_golden``/``save_golden`` in ``tests/conftest.py``).
+Every test re-simulates one cell with the current kernel and asserts a
+bit-identical result: cycles, IPC, every stall and replay counter, and
+the final architectural registers and memory.
 
 The fixture keys use a frozen ``model_version`` stamp
 (:data:`GOLDEN_VERSION`) instead of the live package version, so
@@ -24,8 +25,11 @@ import sys
 
 import pytest
 
+if __name__ == "__main__":  # script mode: make ``tests`` importable
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
+
 from repro.core.factory import make_scheme
-from repro.harness.store import ResultStore, simulation_key
+from repro.harness.store import simulation_key
 from repro.isa.trace import record_trace
 from repro.pipeline.config import MEGA, SMALL
 from repro.pipeline.core import OoOCore
@@ -35,8 +39,7 @@ from repro.workloads.kernels import (
     forwarding_kernel,
     streaming_kernel,
 )
-
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden_store"
+from tests.conftest import GOLDEN_DIR, load_golden, save_golden
 
 #: Frozen fixture stamp — deliberately NOT the package version.
 GOLDEN_VERSION = "golden-v1"
@@ -144,23 +147,15 @@ def _cell_id(cell):
 _CELLS = grid_cells()
 
 
-@pytest.fixture(scope="module")
-def golden_store():
-    if not GOLDEN_DIR.is_dir():
-        pytest.fail(
-            "golden fixture missing at %s — regenerate with "
-            "'PYTHONPATH=src python %s --regenerate'" % (GOLDEN_DIR, __file__)
-        )
-    return ResultStore(GOLDEN_DIR)
-
-
 @pytest.mark.parametrize("cell", _CELLS, ids=[_cell_id(c) for c in _CELLS])
-def test_kernel_matches_golden(cell, golden_store):
+def test_kernel_matches_golden(cell):
     program, config, scheme_name, scheme_kwargs = cell
     key = cell_key(program.name, config, scheme_name, scheme_kwargs)
-    golden = golden_store.load(key)
+    golden = load_golden(key)
     assert golden is not None, (
-        "no golden result for %s — regenerate the fixture" % _cell_id(cell)
+        "no golden result for %s under %s — regenerate with "
+        "'PYTHONPATH=src python %s --regenerate'"
+        % (_cell_id(cell), GOLDEN_DIR, __file__)
     )
     result = simulate(program, config, scheme_name, scheme_kwargs)
 
@@ -244,9 +239,8 @@ def test_fast_forward_matches_pure_stepping(scheme_variant):
 
 
 def regenerate():
-    store = ResultStore(GOLDEN_DIR)
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    store.clear()
+    for stale in GOLDEN_DIR.glob("*.json"):
+        stale.unlink()
     for cell in _CELLS:
         program, config, scheme_name, scheme_kwargs = cell
         key = cell_key(program.name, config, scheme_name, scheme_kwargs)
@@ -254,7 +248,7 @@ def regenerate():
         # the trace replayer against a replay-free fixture.
         result = simulate(program, config, scheme_name, scheme_kwargs,
                           replay=False)
-        store.save(key, result, meta={
+        save_golden(key, result, meta={
             "golden_version": GOLDEN_VERSION,
             "benchmark": program.name,
             "config": config.name,
