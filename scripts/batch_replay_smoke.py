@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Batch-replay equivalence smoke: the fast path cannot drift.
 
-Runs the canonical throughput suite twice per scheme — batch replay on
-(the default) and forced off via ``REPRO_NO_BATCH_REPLAY`` semantics
+Runs the canonical throughput suite twice under every grid scheme —
+batch replay on (the default) and forced off
 (``OoOCore(batch_replay=False)``) — and asserts the simulated machine
 is identical: same cycles, same committed instructions, same full
 ``to_dict()`` snapshot per workload.  Batch replay is a host-side
@@ -24,12 +24,11 @@ import argparse
 import sys
 
 from repro.core.factory import make_scheme
+from repro.core.registry import grid_scheme_names
 from repro.harness.bench import throughput_suite
 from repro.isa.trace import record_trace
 from repro.pipeline.config import MEGA
 from repro.pipeline.core import OoOCore
-
-SCHEMES = ("baseline", "stt-rename", "nda", "fence", "delay-on-miss")
 
 
 def main(argv=None):
@@ -42,7 +41,7 @@ def main(argv=None):
     traces = {label: record_trace(program) for label, program, _ in suite}
     total_batch_events = 0
     checked = 0
-    for scheme_name in SCHEMES:
+    for scheme_name in grid_scheme_names():
         for label, program, warm in suite:
             runs = {}
             for batching in (True, False):

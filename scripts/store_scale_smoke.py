@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Store-scale smoke: a 10^4-cell segment store end to end, on a clock.
 
-Builds a synthetic campaign store (the same cells ``python -m repro
-bench --store`` uses), then drives every maintenance and analysis path
-a million-cell campaign depends on — ``store verify``, ``store
-stats``, ``store gc``, ``compact``, bulk ``load_many``, the columnar
-``metrics`` scan — and asserts each answer is correct, not just alive.
-The whole run must finish inside a time budget so CI catches the exact
+Builds a synthetic campaign store (realistic-shaped cells from
+:mod:`repro.harness.storebench`), then drives every maintenance and
+analysis path a million-cell campaign depends on — ``store verify``,
+``store stats``, ``store gc``, ``compact``, bulk ``load_many``, the
+columnar ``metrics`` scan — and asserts each answer is correct, not
+just alive.  The whole run must finish inside a time budget so CI catches the exact
 failure segment files were introduced to prevent: store operations
 degrading from O(index) back toward O(cells x file-open).
 

@@ -42,13 +42,6 @@ Subcommands:
     List every registered speculation scheme straight from the scheme
     registry: canonical name, grid membership, kwargs schema, and the
     one-line description each scheme declares about itself.
-``bench``
-    Measure simulator throughput (simulated cycles/sec, committed KIPS)
-    over the canonical workload suite; prints JSON so the BENCH
-    trajectory can track kernel regressions (``--record PATH`` also
-    writes the JSON to a file, e.g. ``BENCH_PR3.json`` at the repo
-    root).  ``bench --store`` benchmarks the result store instead:
-    write/keys/load_many/iter throughput at ``--store-cells`` sizes.
 ``profile``
     cProfile one grid cell (default: the ``chase-cold`` throughput
     workload on mega/baseline) and print the top cumulative entries —
@@ -233,45 +226,6 @@ def build_parser():
                        help="gc: restrict the kept grid to these"
                             " benchmarks")
 
-    bench = sub.add_parser(
-        "bench", help="measure simulator throughput (JSON report)")
-    bench.add_argument("--config", default="mega",
-                       help="BOOM config name (default mega)")
-    bench.add_argument("--scheme", default="baseline",
-                       type=canonical_name, choices=scheme_names(),
-                       help="scheme name (default baseline)")
-    bench.add_argument("--schemes", nargs="+", metavar="NAME",
-                       type=canonical_name, choices=scheme_names(),
-                       help="bench several schemes over the same"
-                            " programs (report gains a per-scheme"
-                            " section); overrides --scheme")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="workload iteration multiplier (default 1.0)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="best-of-N runs per workload (default 3)")
-    bench.add_argument("--record", metavar="PATH", default=None,
-                       help="also write the JSON report to PATH"
-                            " (e.g. BENCH_PR3.json at the repo root)")
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke mode: scale 0.1, single repeat —"
-                            " exercises every throughput workload end"
-                            " to end in seconds (CI's crash canary),"
-                            " numbers not comparable to full runs")
-    bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                       default=None,
-                       help="skip measuring: diff two recorded bench"
-                            " reports (per-scheme/per-workload cycles/s"
-                            " delta table, warning on host-metadata"
-                            " mismatch)")
-    bench.add_argument("--store", action="store_true",
-                       help="benchmark the result store instead of the"
-                            " simulator: write/keys/load_many/iter"
-                            " throughput (see --store-cells)")
-    bench.add_argument("--store-cells", default="1000,10000",
-                       metavar="N[,N...]",
-                       help="store bench: comma-separated cell counts"
-                            " (default %(default)s)")
-
     profile = sub.add_parser(
         "profile", help="cProfile one grid cell (top cumulative entries)")
     profile.add_argument("--benchmark", default="chase-cold",
@@ -298,7 +252,7 @@ def build_parser():
         help="dump a Konata-compatible O3PipeView trace of one workload")
     pipeview.add_argument("benchmark",
                           help="throughput workload to trace (one of the"
-                               " bench suite labels, e.g. chase-cold)")
+                               " throughput suite labels, e.g. chase-cold)")
     pipeview.add_argument("--config", default="mega",
                           help="BOOM config name (default mega)")
     pipeview.add_argument("--scheme", default="baseline",
@@ -596,62 +550,6 @@ def cmd_schemes(args):
     return 0
 
 
-def cmd_bench(args):
-    from repro.harness.bench import format_bench_report, run_throughput_bench
-
-    if args.store:
-        from repro.harness.storebench import run_store_bench
-
-        counts = tuple(int(part) for part in args.store_cells.split(",")
-                       if part.strip())
-        if args.quick:
-            counts = tuple(min(count, 1000) for count in counts)
-        report = run_store_bench(cell_counts=counts)
-        text = format_bench_report(report)
-        print(text)
-        if args.record:
-            with open(args.record, "w") as handle:
-                handle.write(text)
-                handle.write("\n")
-            print("recorded to %s" % args.record, file=sys.stderr)
-        return 0
-
-    if args.compare:
-        import json
-
-        from repro.harness.bench import (compare_bench_reports,
-                                         format_bench_comparison)
-
-        old_path, new_path = args.compare
-        with open(old_path) as handle:
-            old = json.load(handle)
-        with open(new_path) as handle:
-            new = json.load(handle)
-        comparison = compare_bench_reports(old, new)
-        print(format_bench_comparison(comparison))
-        return 0
-
-    scale, repeats = args.scale, args.repeats
-    if args.quick:
-        # Smoke mode: the whole suite in seconds, so CI catches
-        # throughput-path crashes; timings are not comparable.
-        scale = min(scale, 0.1)
-        repeats = 1
-    report = run_throughput_bench(
-        config=boom_config(args.config), scheme_name=args.scheme,
-        scale=scale, repeats=repeats,
-        schemes=tuple(args.schemes) if args.schemes else None,
-    )
-    text = format_bench_report(report)
-    print(text)
-    if args.record:
-        with open(args.record, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
-        print("recorded to %s" % args.record, file=sys.stderr)
-    return 0
-
-
 def cmd_profile(args):
     import json
 
@@ -719,7 +617,6 @@ _COMMANDS = {
     "work": cmd_work,
     "store": cmd_store,
     "schemes": cmd_schemes,
-    "bench": cmd_bench,
     "profile": cmd_profile,
     "pipeview": cmd_pipeview,
     "metrics": cmd_metrics,

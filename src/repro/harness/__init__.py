@@ -163,8 +163,8 @@ cells of one benchmark generate its program once per process.
     python -m repro store gc --scale 1.0         # evict off-grid cells
     python -m repro store stats                  # cells/segments/bytes
     python -m repro store compact                # fold + reclaim segments
-    python -m repro bench --record BENCH_PR3.json
-    python -m repro bench --store                # result-store benchmark
+    python -m repro profile --json               # cProfile one cell
+    python3 perfbench/run.py --workload kernel-regimes  # host-time bench
 
 ``--jobs N`` fans simulation out over N workers, ``--executor``
 selects the backend explicitly, ``--progress`` streams live ETA lines,

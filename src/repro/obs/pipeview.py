@@ -92,9 +92,9 @@ def trace_pipeline(benchmark, config=None, scheme_name="baseline",
                    scheme_kwargs=None, scale=1.0, limit=5000):
     """Trace one throughput-suite workload; returns (tracer, result).
 
-    ``benchmark`` names a workload from the canonical bench suite
+    ``benchmark`` names a workload from the canonical throughput suite
     (:data:`repro.harness.bench.THROUGHPUT_LABELS`) so pipeview output
-    is directly comparable with bench/profile numbers.
+    is directly comparable with ``profile`` output.
     """
     from repro.core.factory import make_scheme
     from repro.harness.bench import THROUGHPUT_LABELS, throughput_suite

@@ -83,8 +83,8 @@ Loads, stores, and control never batch — live memory, the store
 queue, and control resolution remain authoritative — and batching
 changes *when handlers run within a phase*, never what they compute:
 simulated cycles, stats, and architectural state stay bit-identical
-with batching on, off, or absent (``REPRO_NO_BATCH_REPLAY=1`` or
-``batch_replay=False`` force it off; the CI smoke pins equivalence).
+with batching on, off, or absent (``batch_replay=False`` forces it
+off; the CI smoke pins equivalence).
 Engagement is observable via ``replay_batch_events`` /
 ``replay_batch_uops`` — core attributes, deliberately not SimStats
 counters, exactly like ``ff_skipped_cycles``.
@@ -194,7 +194,6 @@ additionally capped at the watchdog and ``max_cycles`` horizons so
 error paths fire at the same cycle they would when stepping.
 """
 
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
@@ -320,7 +319,7 @@ class OoOCore:
         watchdog_cycles=50_000,
         warm_caches=False,
         trace=None,
-        batch_replay=None,
+        batch_replay=True,
         account=None,
         tracer=None,
     ):
@@ -404,11 +403,9 @@ class OoOCore:
             self._tr_taken = None
         # Batch replay (see the module docstring): coalesce same-cycle
         # plain-ALU replay completions into one event.  Defaults on
-        # whenever a trace is attached; REPRO_NO_BATCH_REPLAY=1 (or
-        # batch_replay=False) forces the per-uop stepping path, which
-        # must stay bit-identical — the CI smoke pins it.
-        if batch_replay is None:
-            batch_replay = not os.environ.get("REPRO_NO_BATCH_REPLAY")
+        # whenever a trace is attached; batch_replay=False forces the
+        # per-uop stepping path, which must stay bit-identical — the CI
+        # smoke pins it.
         self._batch_replay = bool(batch_replay) and trace is not None
         self.fetch = FetchUnit(self, program, self.predictor, self.btb,
                                trace=trace)

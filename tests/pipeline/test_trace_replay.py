@@ -191,9 +191,9 @@ def test_batch_replay_zero_on_serial_chain():
 @pytest.mark.parametrize("index", range(len(_PROGRAMS)),
                          ids=[p.name for p in _PROGRAMS])
 def test_batch_replay_off_is_bit_identical(index):
-    """The REPRO_NO_BATCH_REPLAY escape hatch (mirrored by the
-    ``batch_replay=False`` kwarg) must not perturb simulated time: the
-    batch path is a host-side optimisation only."""
+    """Forcing batch replay off (``batch_replay=False``) must not
+    perturb simulated time: the batch path is a host-side optimisation
+    only."""
     program = _PROGRAMS[index]
     trace = _TRACES[index]
     for scheme_name, scheme_kwargs in SCHEME_VARIANTS:
