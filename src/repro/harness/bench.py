@@ -11,8 +11,8 @@ One canonical workload suite (:func:`throughput_suite`) is shared by
   for targeted optimisation work (:func:`profile_cell`);
 * ``python -m repro pipeview`` — a per-uop O3PipeView trace of one
   suite workload;
-* ``scripts/overhead_smoke.py`` and ``scripts/batch_replay_smoke.py``
-  — deterministic checks run over every suite workload.
+* ``scripts/overhead_smoke.py`` — the deterministic zero-overhead
+  check run over every suite workload.
 
 The suite deliberately spans the kernel's performance regimes:
 
@@ -39,6 +39,7 @@ import sys
 
 from repro.core.factory import make_scheme
 from repro.isa.trace import record_trace
+from repro.obs import CycleAccount
 from repro.pipeline.config import boom_config
 from repro.pipeline.core import OoOCore
 from repro.workloads.generator import WorkloadProfile, generate_program
@@ -146,8 +147,11 @@ def profile_cell(benchmark="chase-cold", config_name="mega",
     for label, program, warm in throughput_suite(scale=scale):
         if label == benchmark:
             break
+    # The cycle account matches parallel.simulate_cell, so the profile
+    # covers the kernel configuration every campaign cell runs.
     core = OoOCore(program, config=config, scheme=make_scheme(scheme_name),
-                   warm_caches=warm, trace=record_trace(program))
+                   warm_caches=warm, trace=record_trace(program),
+                   account=CycleAccount())
     profiler = cProfile.Profile()
     profiler.enable()
     result = core.run()

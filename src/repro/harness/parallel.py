@@ -77,11 +77,7 @@ def simulate_cell(spec):
         account=CycleAccount(),
     )
     result = core.run()
-    _cell_diag.data = {
-        "ff_skipped_cycles": core.ff_skipped_cycles,
-        "replay_batch_events": core.replay_batch_events,
-        "replay_batch_uops": core.replay_batch_uops,
-    }
+    _cell_diag.data = {"ff_skipped_cycles": core.ff_skipped_cycles}
     return result
 
 

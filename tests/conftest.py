@@ -16,6 +16,20 @@ from repro.workloads.generator import WorkloadProfile, generate_program
 ALL_SCHEMES = scheme_names()
 
 
+#: Scheme variants of the kernel-equivalence grids (golden fixture,
+#: trace replay, cycle account): every registered scheme plus the
+#: Section 9.2 split-store-taint ablation of STT-Rename.
+SCHEME_VARIANTS = (
+    ("baseline", {}),
+    ("stt-rename", {}),
+    ("stt-rename", {"split_store_taints": True}),
+    ("stt-issue", {}),
+    ("nda", {}),
+    ("fence", {}),
+    ("delay-on-miss", {}),
+)
+
+
 @pytest.fixture(params=ALL_SCHEMES)
 def scheme_name(request):
     """Parametrise a test over every scheme."""

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main, parse_hostport
+from repro.harness.bench import profile_cell
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
 from repro.pipeline.config import SMALL
@@ -232,6 +233,11 @@ def test_cli_profile_json(capsys):
     assert host["python"] and host["platform"]
     assert host["cpu_count"] >= 1
     assert report["simulated_cycles"] > 0
+    # The profiled core carries the cycle account every campaign cell
+    # runs with, so the profile measures the shipped configuration.
+    _report, result = profile_cell("streaming-warm", "small", scale=0.02,
+                                   as_json=True)
+    assert result.stats.extra["cycacct.cycles"] == result.cycles
 
 
 def test_cli_grid_progress_json(tmp_path, capsys):

@@ -29,20 +29,10 @@ from repro.workloads.kernels import (
     shadowed_miss_kernel,
     streaming_kernel,
 )
-from tests.conftest import load_golden
+from tests.conftest import SCHEME_VARIANTS, load_golden
 
 #: Same grid as the golden equivalence suite (tests/pipeline).
 GOLDEN_VERSION = "golden-v1"
-
-SCHEME_VARIANTS = (
-    ("baseline", {}),
-    ("stt-rename", {}),
-    ("stt-rename", {"split_store_taints": True}),
-    ("stt-issue", {}),
-    ("nda", {}),
-    ("fence", {}),
-    ("delay-on-miss", {}),
-)
 
 CONFIGS = (SMALL, MEGA)
 

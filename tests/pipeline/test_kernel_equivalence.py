@@ -39,26 +39,15 @@ from repro.workloads.kernels import (
     forwarding_kernel,
     streaming_kernel,
 )
-from tests.conftest import GOLDEN_DIR, load_golden, save_golden
+from tests.conftest import (
+    GOLDEN_DIR,
+    SCHEME_VARIANTS,
+    load_golden,
+    save_golden,
+)
 
 #: Frozen fixture stamp — deliberately NOT the package version.
 GOLDEN_VERSION = "golden-v1"
-
-#: Scheme variants under test: every registered scheme plus the
-#: Section 9.2 split-store-taint ablation of STT-Rename.  The PR 4
-#: engine refactor (event-scheduled scheme hooks) regenerated the
-#: fixture; every pre-existing cell stayed byte-identical, pinning the
-#: polled -> scheduled equivalence, and the fence / delay-on-miss
-#: variants were recorded on top.
-SCHEME_VARIANTS = (
-    ("baseline", {}),
-    ("stt-rename", {}),
-    ("stt-rename", {"split_store_taints": True}),
-    ("stt-issue", {}),
-    ("nda", {}),
-    ("fence", {}),
-    ("delay-on-miss", {}),
-)
 
 CONFIGS = (SMALL, MEGA)
 

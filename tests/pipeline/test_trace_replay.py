@@ -23,16 +23,7 @@ from repro.workloads.kernels import (
     shadowed_miss_kernel,
     streaming_kernel,
 )
-
-SCHEME_VARIANTS = (
-    ("baseline", {}),
-    ("stt-rename", {}),
-    ("stt-rename", {"split_store_taints": True}),
-    ("stt-issue", {}),
-    ("nda", {}),
-    ("fence", {}),
-    ("delay-on-miss", {}),
-)
+from tests.conftest import SCHEME_VARIANTS
 
 
 def _programs():
@@ -99,10 +90,7 @@ def test_replay_equals_inline_for_every_scheme(index, config):
 def test_replay_actually_engages(monkeypatch):
     """Most completions on a squash-heavy workload must come from the
     trace, not the functional fallback — otherwise every equivalence
-    above would hold trivially with replay never exercised.  Trace-fed
-    completions arrive two ways: singleton ``_replay_complete`` calls
-    and bulk members of ``_ev_replay_batch`` (counted by the core's
-    ``replay_batch_uops``); both count as engagement."""
+    above would hold trivially with replay never exercised."""
     replayed = [0]
     orig_replay = OoOCore._replay_complete
 
@@ -118,98 +106,10 @@ def test_replay_actually_engages(monkeypatch):
     result = core.run()
     committed = result.stats.committed_instructions
     assert result.halted and committed > 0
-    engaged = replayed[0] + core.replay_batch_uops
-    assert engaged > committed // 2, (
+    assert replayed[0] > committed // 2, (
         "replay engaged on only %d of %d completions"
-        % (engaged, committed)
+        % (replayed[0], committed)
     )
-
-
-def test_batch_replay_engages_on_streaming():
-    """The streaming kernel's long pure on-trace stretches must produce
-    bulk-completion batches — the counter pins the fast path actually
-    firing, not just being legal."""
-    program = _PROGRAMS[0]  # streaming
-    core = OoOCore(program, config=MEGA, scheme=make_scheme("baseline"),
-                   trace=_TRACES[0])
-    result = core.run()
-    assert result.halted
-    assert core.replay_batch_events > 0
-    assert core.replay_batch_uops >= 2 * core.replay_batch_events, (
-        "batches must bulk-complete at least two uops each"
-    )
-
-
-def _serial_chain_kernel():
-    """A workload on which batch replay can never engage: every plain
-    ALU op reads *only* the destination of the immediately preceding
-    plain ALU op, so at most one becomes ready per completion and no
-    cycle ever holds two same-cycle plain-ALU completions.  Branch
-    arms are ``jal``-separated so the join point still reads a single
-    in-flight register.  A data-dependent branch keeps squash traffic
-    dense; asserting the counter stays at zero pins the legality gate
-    (batching needs >= 2 same-cycle completions)."""
-    from repro.isa.assembler import assemble
-
-    lines = [
-        "li x1, 7",
-        "addi x5, x1, 500",   # limit; the only reader of x1 here
-        "addi x1, x5, -480",  # chain restart off x5, not x1
-        "loop:",
-        "addi x2, x1, 3",
-        "xori x3, x2, 21",
-        "addi x2, x3, 2",
-        "xori x3, x2, 9",
-        "andi x2, x3, 1",     # parity of the mixed value: ~random
-        "beq x2, x0, even",
-        "add x4, x3, x2",     # arms wake on x2 (x3 arrived earlier),
-        "jal x0, join",       # keeping the chain's magnitude alive
-        "even:",
-        "add x4, x2, x3",
-        "join:",
-        "addi x1, x4, 1",
-        "blt x1, x5, loop",
-        "halt",
-    ]
-    return assemble("\n".join(lines), name="serial-chain")
-
-
-def test_batch_replay_zero_on_serial_chain():
-    program = _serial_chain_kernel()
-    trace = record_trace(program)
-    core = OoOCore(program, config=MEGA, scheme=make_scheme("baseline"),
-                   trace=trace)
-    result = core.run()
-    assert result.halted
-    assert result.stats.branch_mispredicts > 0, (
-        "kernel no longer mispredicts; the zero-batch claim is vacuous"
-    )
-    assert core.replay_batch_events == 0
-    assert core.replay_batch_uops == 0
-
-
-@pytest.mark.parametrize("index", range(len(_PROGRAMS)),
-                         ids=[p.name for p in _PROGRAMS])
-def test_batch_replay_off_is_bit_identical(index):
-    """Forcing batch replay off (``batch_replay=False``) must not
-    perturb simulated time: the batch path is a host-side optimisation
-    only."""
-    program = _PROGRAMS[index]
-    trace = _TRACES[index]
-    for scheme_name, scheme_kwargs in SCHEME_VARIANTS:
-        on_core = OoOCore(program, config=MEGA,
-                          scheme=make_scheme(scheme_name, **scheme_kwargs),
-                          trace=trace)
-        on = on_core.run()
-        off_core = OoOCore(program, config=MEGA,
-                           scheme=make_scheme(scheme_name, **scheme_kwargs),
-                           trace=trace, batch_replay=False)
-        off = off_core.run()
-        assert off_core.replay_batch_events == 0
-        assert on.to_dict() == off.to_dict(), (
-            "batch replay perturbed timing: %s under %s"
-            % (program.name, scheme_name)
-        )
 
 
 def test_trace_reentry_after_mispredicts(monkeypatch):
