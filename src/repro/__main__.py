@@ -76,8 +76,8 @@ from repro.core.registry import (
     scheme_names,
 )
 from repro.harness.experiments import (
-    experiment_grid_needs,
     experiment_ids,
+    needed_cells,
     run_experiment,
 )
 from repro.harness.progress import make_progress
@@ -345,31 +345,6 @@ def _summary_line(label, summary):
     return line
 
 
-def _needed_cells(experiment_ids_, runner):
-    """Union of grid cells the requested experiments will read.
-
-    Only these are pre-populated in parallel — asking for one small
-    experiment never pays for the full standard grid.
-    """
-    cells, seen = [], set()
-    for experiment_id in experiment_ids_:
-        needs = experiment_grid_needs(experiment_id)
-        if needs is None:
-            continue
-        configs, schemes, benchmarks = needs
-        selected = [b for b in (benchmarks or runner.benchmarks)
-                    if b in runner.benchmarks]
-        for config in configs:
-            for scheme in schemes:
-                for benchmark in selected:
-                    key = (benchmark, config.fingerprint(), scheme)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    cells.append((benchmark, config, scheme))
-    return cells
-
-
 def cmd_run(args):
     ids = list(args.experiments)
     if ids == ["all"]:
@@ -383,7 +358,7 @@ def cmd_run(args):
     runner = make_runner(args)
     executor = make_cli_executor(args)
     if args.jobs > 1 or executor is not None:
-        cells = _needed_cells(ids, runner)
+        cells = needed_cells(ids, runner)
         if cells:
             summary = runner.run_cell_batch(
                 cells, jobs=args.jobs, executor=executor,

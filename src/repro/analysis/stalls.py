@@ -78,15 +78,9 @@ def store_stall_breakdown(store):
     (``iter_results(fields=("stats",))``): statistics decode straight
     from the manifest index, no snapshot payload is ever read — the
     difference between an index scan and 10^4 decompress+parse round
-    trips on a campaign-sized store.  Store-like objects without the
-    columnar API (older stores, plain iterables' owners) fall back to
-    full iteration transparently.
+    trips on a campaign-sized store.
     """
-    try:
-        results = store.iter_results(fields=("stats",))
-    except TypeError:
-        results = store.iter_results()
-    return cycle_account_breakdown(results)
+    return cycle_account_breakdown(store.iter_results(fields=("stats",)))
 
 
 def _ordered_leaves(leaves):

@@ -604,8 +604,41 @@ def experiment_grid_needs(experiment_id):
     return entry.needs()
 
 
+def needed_cells(experiment_ids_, runner):
+    """Union of grid cells the given experiments read, deduplicated.
+
+    ``(benchmark, config, scheme)`` triples from each experiment's
+    :func:`experiment_grid_needs`, restricted to the runner's benchmark
+    selection.  The CLI pre-populates exactly these cells in parallel,
+    and :func:`run_experiment` bulk-loads them from the store — asking
+    for one small experiment never pays for the full standard grid.
+    """
+    cells, seen = [], set()
+    for experiment_id in experiment_ids_:
+        needs = experiment_grid_needs(experiment_id)
+        if needs is None:
+            continue
+        configs, schemes, benchmarks = needs
+        selected = [b for b in (benchmarks or runner.benchmarks)
+                    if b in runner.benchmarks]
+        for config in configs:
+            for scheme in schemes:
+                for benchmark in selected:
+                    key = (benchmark, config.fingerprint(), scheme)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    cells.append((benchmark, config, scheme))
+    return cells
+
+
 def run_experiment(experiment_id, runner=None, **kwargs):
-    """Run one experiment by id; returns an :class:`ExperimentReport`."""
+    """Run one experiment by id; returns an :class:`ExperimentReport`.
+
+    Every cell the experiment declares is bulk-loaded from the runner's
+    store first (one ``load_many``), so its per-cell reads hit the
+    in-process cache.
+    """
     from repro.harness.runner import shared_runner
 
     if experiment_id not in EXPERIMENTS:
@@ -615,4 +648,5 @@ def run_experiment(experiment_id, runner=None, **kwargs):
         )
     if runner is None:
         runner = shared_runner()
+    runner.preload_from_store(needed_cells((experiment_id,), runner))
     return EXPERIMENTS[experiment_id].func(runner, **kwargs)

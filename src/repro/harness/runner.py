@@ -17,7 +17,11 @@ Three layers cooperate:
 - an optional persistent :class:`~repro.harness.store.ResultStore`
   (segment files + manifest index on disk — see
   :mod:`repro.harness.segments`) consulted before simulating and updated
-  after, so repeated processes skip already-simulated cells;
+  after, so repeated processes skip already-simulated cells.  Stored
+  cells are served lazily: identity and statistics come from the
+  manifest, and a cell's architectural snapshot is read from its
+  segment only if ``regs``/``memory``/``extra`` is touched — which no
+  experiment does, so a store-backed report reads no segment at all;
 - :func:`~repro.harness.parallel.run_cells`, which
   :meth:`CampaignRunner.run_grid` uses to shard the *uncached* cells
   of a grid across a multiprocessing pool (serial fallback included).
@@ -74,12 +78,22 @@ class CampaignRunner:
     # -- simulation --------------------------------------------------------
 
     def run(self, benchmark, config, scheme_name, **scheme_kwargs):
-        """Result for one cell of the grid (cached, store-backed)."""
+        """Result for one cell of the grid (cached, store-backed).
+
+        A stored cell comes back as the store's lazily-decoded result:
+        statistics from the manifest, the snapshot from its segment on
+        first touch.  A cell whose segment record is corrupt is still
+        served from the manifest — it is not resimulated — and touching
+        its snapshot raises
+        :class:`~repro.harness.segments.CorruptRecord` naming
+        ``python -m repro store verify``.
+        """
         key = self.cell_key(benchmark, config, scheme_name, scheme_kwargs)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        result = self.store.load(key) if self.store is not None else None
+        result = (self.store.load_many((key,)).get(key)
+                  if self.store is not None else None)
         if result is None:
             # The one cell path every executor uses, so stored results
             # are identical however a cell was produced.
@@ -107,11 +121,14 @@ class CampaignRunner:
         """Bulk-load already-stored cells into the in-process cache.
 
         One :meth:`~repro.harness.store.ResultStore.load_many` call
-        replaces a per-cell ``load`` (and its per-miss index check)
-        for every ``(benchmark, config, scheme_name)`` in ``cells`` —
-        the figure loaders' dominant cost once a campaign has run.
-        Returns the number of cells newly cached; cells absent from
-        the store are left for :meth:`run` to simulate.
+        replaces a per-cell index lookup for every
+        ``(benchmark, config, scheme_name)`` in ``cells``;
+        :func:`~repro.harness.experiments.run_experiment` makes this
+        call with every cell an experiment declares, before running it.
+        Cached results are lazy, as in :meth:`run`: only manifest rows
+        are read here, never segments.  Returns the number of cells
+        newly cached; cells absent from the store are left for
+        :meth:`run` to simulate.
         """
         if self.store is None:
             return 0

@@ -506,7 +506,9 @@ class ResultStore:
 
         Retries through a fresh manifest lookup when the locator went
         stale (the record was relocated by a concurrent ``compact``),
-        so lazily-decoded results survive store maintenance.
+        so lazily-decoded results survive store maintenance.  A record
+        that is still unreadable or foreign after the retry raises
+        :class:`CorruptRecord` naming ``python -m repro store verify``.
         """
         try:
             env = self._read_at(segment_name, offset, length)
@@ -518,7 +520,13 @@ class ResultStore:
         row = manifest.cell(key) if manifest is not None else None
         if row is None:
             raise KeyError("cell %s vanished from the store index" % key)
-        env = self._read_at(row["segment_name"], row["offset"], row["length"])
+        try:
+            env = self._read_at(row["segment_name"], row["offset"],
+                                row["length"])
+        except (CorruptRecord, ValueError) as exc:
+            raise CorruptRecord(
+                "segment record for %s is unreadable (%s) — run"
+                " 'python -m repro store verify'" % (key, exc)) from exc
         if env.get("key") != key:
             raise CorruptRecord(
                 "segment record for %s holds key %r — run"

@@ -92,11 +92,21 @@ class CoreConfig:
         while renaming a parameter-identical config hashes the same —
         caches keyed on the fingerprint neither alias the former nor
         needlessly resimulate the latter.
+
+        Memoised per instance: every field (the nested ``MemConfig``
+        included) is frozen, so the digest cannot go stale.  The memo
+        lives in the instance ``__dict__``, outside the dataclass
+        fields, so ``==``, ``hash``, ``repr`` and :meth:`to_dict` never
+        see it; ``scaled()`` copies are new instances and hash afresh.
         """
-        data = self.to_dict()
-        data.pop("name")
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            data = self.to_dict()
+            data.pop("name")
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
 
 def config_from_dict(data):

@@ -62,6 +62,39 @@ def test_config_fingerprint_tracks_params_not_name():
     assert a.fingerprint() == a.scaled(name="renamed").fingerprint()
 
 
+def test_config_fingerprint_memo_is_invisible():
+    import hashlib
+    import json
+    import pickle
+
+    from repro.pipeline.config import config_from_dict
+
+    config = MEGA.scaled(name="memo", rob_entries=96)
+    before = (config.to_dict(), hash(config), repr(config))
+    assert "_fingerprint" not in config.__dict__
+    digest = config.fingerprint()
+    # The memo holds exactly the JSON + SHA-256 digest, so cache keys
+    # (and every golden cell) are unchanged.
+    data = config.to_dict()
+    data.pop("name")
+    blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert digest == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    assert config.__dict__["_fingerprint"] == digest
+    assert config.fingerprint() is digest
+    # Dataclass identity never sees the memo.
+    assert (config.to_dict(), hash(config), repr(config)) == before
+    twin = MEGA.scaled(name="memo", rob_entries=96)
+    assert twin == config and twin.fingerprint() == digest
+    # A scaled() copy is a new instance and hashes its own fields.
+    narrower = config.scaled(rob_entries=64)
+    assert "_fingerprint" not in narrower.__dict__
+    assert narrower.fingerprint() != digest
+    # Configs travelling by pickle (pool workers) or as plain dicts
+    # (cluster wire) keep their identity.
+    assert pickle.loads(pickle.dumps(config)).fingerprint() == digest
+    assert config_from_dict(config.to_dict()).fingerprint() == digest
+
+
 # ----------------------------------------------------------------------
 # Store round-trips.
 # ----------------------------------------------------------------------
