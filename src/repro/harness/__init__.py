@@ -1,4 +1,4 @@
-"""Campaign engine: content-addressed, disk-backed, parallel, distributed.
+"""Campaign engine: content-addressed, disk-backed, parallel.
 
 :class:`~repro.harness.runner.CampaignRunner` executes the
 (benchmark x config x scheme) simulation grid and caches results;
@@ -56,108 +56,49 @@ reports the bytes reclaimed, and all of it is scriptable as
 Maintenance verbs are offline operations: run them without concurrent
 writers.
 
-**Executor protocol.**  Execution is backend-agnostic behind
-:class:`~repro.harness.executor.Executor` — ``run(specs, progress,
-on_result)`` returning results in spec order.  Three backends share
-the seam: the in-process :class:`~repro.harness.executor.SerialExecutor`,
-the ``multiprocessing`` :class:`~repro.harness.executor.PoolExecutor`,
-and the socket-based
-:class:`~repro.harness.cluster.ClusterExecutor`.
-``CampaignRunner.run_grid(executor=...)`` / ``run_cell_batch`` pass
-any of them straight through; ``on_result`` streams each cell into the
-store the moment it completes, so interrupted campaigns keep their
-work.  All backends feed one
-:class:`~repro.harness.progress.ProgressReporter` (cells done/total,
-cells/sec, ETA, per-worker attribution).
+**Execution.**  :func:`~repro.harness.parallel.run_cells` is the one
+way a batch of cells runs: serially in-process (``jobs<=1``) or on a
+local ``fork`` process pool (``jobs>1``; serial whenever no pool can
+be created).  Both funnel every cell through
+:func:`~repro.harness.parallel.simulate_cell`, so a cell's stored
+result is byte-identical however it ran.
+``CampaignRunner.run_grid(jobs=...)`` / ``run_cell_batch`` pass
+``on_result``, which streams each cell into the store the moment it
+completes, so interrupted campaigns keep their work.  Both paths feed
+one :class:`~repro.harness.progress.ProgressReporter` (cells
+done/total, cells/sec, ETA, per-worker attribution).
 
-**Cluster protocol** (:mod:`repro.harness.cluster`, stdlib-only).  A
-TCP coordinator owns the campaign's pending cells; workers *pull*
-(work stealing), simulate via the same
-:func:`~repro.harness.parallel.simulate_cell` every backend uses, and
-report back.  The contract:
+**Failure model** (serial and pool alike):
 
-- *Framing*: each frame is a 4-byte big-endian payload length plus
-  UTF-8 JSON encoding one ``{"kind": ...}`` object; frames above 64
-  MiB are rejected.  Strict request/response per connection.
-- *Message kinds*: worker sends ``hello`` (names itself, states
-  protocol version) and receives ``welcome`` (or ``reject``); then
-  loops ``steal`` -> ``cell`` (cell id + full wire spec) / ``wait``
-  (queue empty, grid live) / ``done`` (drained or failed);
-  ``result``/``error`` report a cell and are ``ack``'d; ``heartbeat``
-  keeps liveness fresh mid-simulation; ``bye`` ends cleanly.
-- *Wire specs*: the complete ``CoreConfig`` record travels with every
-  cell (``spec_to_wire``/``spec_from_wire``), so remote workers
-  simulate exactly the configuration that was hashed — never a
-  same-named approximation.
-- *Telemetry frames*: a ``result`` frame may carry an optional
-  ``telemetry`` sibling object (wall-clock seconds, replay counters,
-  fast-forward engagement, peak worker RSS; see
-  :func:`repro.obs.cell_telemetry`).  It rides *beside* the result —
-  never inside it, stored results stay byte-identical across backends
-  — and is unversioned: coordinators tolerate its absence, so old and
-  new builds interoperate.  The coordinator aggregates frames into
-  per-worker / per-scheme rollups
-  (:class:`repro.obs.TelemetryAggregate`) surfaced through
-  ``coordinator.stats()["telemetry"]`` and the ``serve`` summary.
-- *Requeue semantics*: a stolen cell is in-flight against its worker;
-  if the worker's socket drops or it stays silent past the heartbeat
-  timeout, the cell returns to the *front* of the queue and the
-  campaign continues.  Determinism makes the race benign: a
-  falsely-dead worker's late result is bit-identical to the requeued
-  rerun, the first result per cell wins, duplicates are dropped.
-  Reported ``error`` frames are deterministic failures and are *not*
-  requeued.
-
-**Failure model** (the crash-safety contract, end to end):
-
-- *Retried*: worker death (socket EOF, heartbeat silence) requeues the
-  dead worker's in-flight cells at the front of the queue — a crash
-  costs one cell's work, never the campaign.  Workers themselves retry
-  lost coordinators with capped exponential backoff + jitter
-  (``work --max-reconnects``); an explicit coordinator *rejection*
-  (bad protocol version, incompatible schemes) is not retried.
-- *Quarantined*: a cell that kills its worker ``max_cell_attempts``
-  times (default 3) is poisoned — it is settled as a
-  :class:`~repro.harness.store.CellFailure` (kind ``poisoned``) and
-  never requeued, so one pathological cell cannot starve the grid.
-  Deterministic ``error`` frames and watchdog timeouts
-  (``work --cell-timeout``) settle the same way with kinds
-  ``deterministic``/``timeout``.  Settled failures are persisted as
-  records under ``<store>/failures/`` (``python -m repro store
-  failures`` lists them; a later first result wins and clears the
-  record).
-- *Aborts*: only ``--fail-fast`` restores abort-on-first-error;
-  otherwise failed cells yield ``None`` results and the rest of the
-  campaign completes (graceful degradation).  Serial and pool
-  backends keep their historical raise-on-exception behaviour.
-- *Resumes*: the coordinator appends every steal/done/requeue/
-  quarantine to an atomic-headed journal
-  (``<store>/campaign.journal.jsonl``); ``serve --resume`` replays it
-  — the store stays authoritative for completed cells, the journal
-  contributes queue order, attempt counts, and settled failures.  A
-  seeded :class:`~repro.harness.cluster.FaultPlan` injects crashes,
-  frame faults, hangs, and coordinator kills at the protocol seam to
-  test all of the above deterministically.
+- *Recorded*: a cell whose simulation raises is settled as a
+  :class:`~repro.harness.store.CellFailure` (kind ``deterministic``,
+  with the error and traceback text); in a store-backed campaign the
+  record persists under ``<store>/failures/`` (``python -m repro
+  store failures`` lists it), the summary counts it as ``failed``,
+  and the rest of the campaign completes.  Without a store the
+  exception propagates.
+- *Aborts*: a pool worker process that dies (rather than raises)
+  aborts the campaign with
+  :class:`~concurrent.futures.process.BrokenProcessPool` once every
+  cell that did finish has been stored.  Such a cell is not recorded
+  as a failure: there is no quarantine of cells that kill their
+  worker.
+- *Resumes*: the store is the campaign's record.  Re-running the same
+  ``grid`` over the same store simulates only the cells it lacks —
+  those never reached and those that failed — and a result landing
+  for a cell clears that cell's failure record.
 
 **Program cache.**  Workload generation is memoised content-addressed
 (:mod:`repro.workloads.program_cache`: profile content + seed +
-generator version), so pool and cluster workers looping over many
-cells of one benchmark generate its program once per process.
+generator version), so pool workers looping over many cells of one
+benchmark generate its program once per process.
 
 **CLI.**  All of this is scriptable via ``python -m repro``::
 
     python -m repro list                         # experiment ids
-    python -m repro grid --jobs 8 --progress     # local pool backend
+    python -m repro grid --jobs 8 --progress     # local process pool
     python -m repro run figure6 table3           # named experiments
     python -m repro run all --jobs 8             # everything, parallel
-    python -m repro grid --executor cluster --local-workers 4
-
-    # multi-host campaign: coordinator on one machine ...
-    python -m repro serve --port 2017 --scale 1.0
-    # ... any number of workers on any machines:
-    python -m repro work --connect coordinator-host:2017
-
-    python -m repro serve --resume               # pick up after a crash
     python -m repro store failures               # recorded cell failures
     python -m repro store verify                 # quarantine corrupt/stale
     python -m repro store gc --scale 1.0         # evict off-grid cells
@@ -166,11 +107,10 @@ cells of one benchmark generate its program once per process.
     python -m repro profile --json               # cProfile one cell
     python3 perfbench/run.py --workload kernel-regimes  # host-time bench
 
-``--jobs N`` fans simulation out over N workers, ``--executor``
-selects the backend explicitly, ``--progress`` streams live ETA lines,
-``--scale`` / ``--seed`` select the workload build, ``--store-dir``
-relocates the persistent store, and ``--no-store`` keeps a run purely
-in-memory.
+``--jobs N`` fans simulation out over N local workers, ``--progress``
+streams live ETA lines, ``--scale`` / ``--seed`` select the workload
+build, ``--store-dir`` relocates the persistent store, and
+``--no-store`` keeps a run purely in-memory.
 """
 
 from repro.harness.runner import CampaignRunner, shared_runner
@@ -179,13 +119,6 @@ from repro.harness.store import (
     CellFailure,
     ResultStore,
     simulation_key,
-)
-from repro.harness.journal import CampaignJournal, journal_path
-from repro.harness.executor import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
 )
 from repro.harness.parallel import run_cells, simulate_cell
 from repro.harness.progress import ProgressReporter, make_progress
@@ -202,14 +135,8 @@ __all__ = [
     "shared_runner",
     "ResultStore",
     "CellFailure",
-    "CampaignJournal",
-    "journal_path",
     "simulation_key",
     "MODEL_VERSION",
-    "Executor",
-    "SerialExecutor",
-    "PoolExecutor",
-    "make_executor",
     "run_cells",
     "simulate_cell",
     "ProgressReporter",

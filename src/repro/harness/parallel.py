@@ -1,30 +1,32 @@
-"""Cell simulation and the classic ``run_cells()`` seam.
+"""Cell simulation and :func:`run_cells`, the one way to run a batch.
 
 A *cell spec* is the picklable tuple
 ``(benchmark, config, scheme_name, scheme_kwargs, scale, seed)`` — the
-same identity that :func:`repro.harness.store.simulation_key` hashes,
-and (in wire form, see :mod:`repro.harness.cluster.protocol`) the unit
-of work the cluster coordinator hands to remote workers.
+same identity that :func:`repro.harness.store.simulation_key` hashes.
 
-:func:`simulate_cell` executes one spec; every backend — the serial
-loop, the multiprocessing pool, and cluster workers — funnels through
-it, so a cell simulates identically wherever it lands.  Benchmark
-programs come from the content-addressed
+:func:`simulate_cell` executes one spec; the serial loop and the
+process pool both funnel through it, so a cell simulates identically
+wherever it lands.  Benchmark programs come from the content-addressed
 :mod:`~repro.workloads.program_cache`: generation is seeded and
 per-benchmark independent (a subset build is bit-identical to a
 full-suite build), and a worker looping over many cells of one
 benchmark generates its program once.
 
-:func:`run_cells` is the stable seam callers see.  Since the
-:class:`~repro.harness.executor.Executor` protocol landed it is a thin
-dispatcher: pass ``executor=`` for any backend (including the cluster),
-or just ``jobs=`` for the classic serial/pool behaviour.
+:func:`run_cells` runs a batch either in-process (``jobs<=1``) or on a
+local process pool, and reports each cell as it finishes: a result
+through ``on_result``, a raising simulation through ``on_failure`` as
+a :class:`~repro.harness.store.CellFailure`.  A pool worker that dies
+aborts the batch with :class:`BrokenProcessPool` instead of hanging.
 """
 
+import multiprocessing
 import os
-import threading
+import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.factory import make_scheme
+from repro.harness.store import CellFailure, simulation_key
 from repro.obs import CycleAccount
 from repro.pipeline.core import OoOCore
 from repro.workloads.program_cache import cached_spec_program, cached_spec_trace
@@ -35,20 +37,6 @@ def default_jobs():
     return max(1, os.cpu_count() or 1)
 
 
-#: Per-thread out-of-band diagnostics of the last simulate_cell() call
-#: (cluster executor workers are threads sharing one process, so a
-#: module global would race).  Deliberately NOT part of the result:
-#: results must stay byte-identical across backends.
-_cell_diag = threading.local()
-
-
-def last_cell_diagnostics():
-    """Executor-side extras of this thread's last cell (or ``None``):
-    telemetry that has no business inside the stored result, e.g.
-    fast-forward engagement."""
-    return getattr(_cell_diag, "data", None)
-
-
 def simulate_cell(spec):
     """Simulate one grid cell from its spec; returns a SimulationResult.
 
@@ -57,60 +45,137 @@ def simulate_cell(spec):
 
     The workload's canonical dynamic trace rides along with the program
     (same content-addressed cache, same disk directory), so every cell
-    of a benchmark — across schemes, configs, processes, and cluster
-    workers — replays one recording instead of re-evaluating per uop.
+    of a benchmark — across schemes, configs and processes — replays
+    one recording instead of re-evaluating per uop.
 
     Campaign cells always carry cycle accounting (see
-    :mod:`repro.obs`): every backend funnels through here, so stored
-    results gain identical ``cycacct.`` extras everywhere and the
-    store stays byte-identical across serial / pool / cluster runs.
+    :mod:`repro.obs`): serial and pool runs both funnel through here,
+    so stored results gain identical ``cycacct.`` extras and the store
+    stays byte-identical however a cell was run.
     """
     benchmark, config, scheme_name, scheme_kwargs, scale, seed = spec
     program = cached_spec_program(benchmark, scale=scale, seed=seed)
     trace = cached_spec_trace(benchmark, scale=scale, seed=seed)
-    core = OoOCore(
+    return OoOCore(
         program,
         config=config,
         scheme=make_scheme(scheme_name, **dict(scheme_kwargs or {})),
         warm_caches=True,
         trace=trace,
         account=CycleAccount(),
+    ).run()
+
+
+def _simulate_in_worker(spec):
+    """``spec -> (pid, result)``: the pid attributes progress per worker."""
+    return os.getpid(), simulate_cell(spec)
+
+
+def _cell_failure(spec, exc, worker):
+    """The :class:`CellFailure` of a spec whose simulation raised ``exc``;
+    called inside the ``except`` block, so the traceback is current."""
+    benchmark, config, scheme_name, scheme_kwargs, scale, seed = spec
+    return CellFailure(
+        key=simulation_key(benchmark, config, scheme_name,
+                           scheme_kwargs=dict(scheme_kwargs or ()),
+                           scale=scale, seed=seed),
+        benchmark=benchmark, config_name=config.name,
+        scheme_name=scheme_name, kind="deterministic", worker=worker,
+        error="%s: %s" % (type(exc).__name__, exc),
+        traceback=traceback.format_exc(),
     )
-    result = core.run()
-    _cell_diag.data = {"ff_skipped_cycles": core.ff_skipped_cycles}
-    return result
 
 
-def _simulate_indexed(indexed_spec):
-    """``(index, spec) -> (index, pid, result)`` for unordered pools.
+def _open_pool(jobs):
+    """A ``fork`` process pool, or ``None`` where none can be created
+    (restricted sandboxes, missing ``/dev/shm``)."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        context = multiprocessing.get_context()
+    try:
+        return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
+    except (OSError, NotImplementedError):
+        return None
 
-    The index lets the pool stream completions out of order and still
-    reassemble spec order; the pid provides per-worker attribution for
-    progress reporting.
-    """
-    index, spec = indexed_spec
-    return index, os.getpid(), simulate_cell(spec)
 
-
-def run_cells(specs, jobs=None, progress=None, executor=None, on_result=None,
+def run_cells(specs, jobs=None, progress=None, on_result=None,
               on_failure=None):
     """Simulate every spec; returns results in spec order.
 
-    The backend-agnostic seam: with ``executor=`` any
-    :class:`~repro.harness.executor.Executor` (serial, pool, cluster)
-    does the work; otherwise ``jobs`` selects the classic local
-    behaviour — ``jobs=None`` fans out over :func:`default_jobs`
-    processes, ``jobs<=1`` (or a single spec, or any failure to stand
-    up a pool) runs serially in-process.
-    """
-    from repro.harness.executor import PoolExecutor, SerialExecutor
+    ``jobs=None`` fans out over :func:`default_jobs` processes; ``jobs<=1``
+    (or a single spec, or no pool to be had) runs serially in-process.
+    As each cell finishes, ``on_result(index, result)`` fires and
+    ``progress.cell_done(worker=...)`` counts it, so a store-backed
+    caller keeps every finished cell even if the batch is interrupted.
 
+    A cell whose simulation raises is reported as
+    ``on_failure(index, CellFailure(kind="deterministic", ...))`` and
+    ``progress.cell_failed(...)``; its result is ``None`` and the rest of
+    the batch completes.  Without ``on_failure`` the exception
+    propagates instead.  A pool worker process that dies (rather than
+    raises) raises :class:`BrokenProcessPool` once every cell that did
+    finish has been reported.
+    """
     specs = list(specs)
     if not specs:
         return []
-    if executor is None:
-        jobs = default_jobs() if jobs is None else int(jobs)
-        jobs = min(jobs, len(specs))
-        executor = SerialExecutor() if jobs <= 1 else PoolExecutor(jobs=jobs)
-    return executor.run(specs, progress=progress, on_result=on_result,
-                        on_failure=on_failure)
+    jobs = default_jobs() if jobs is None else int(jobs)
+    jobs = min(jobs, len(specs))
+    results = [None] * len(specs)
+
+    def fail(index, exc, worker):
+        if on_failure is None:
+            raise exc
+        on_failure(index, _cell_failure(specs[index], exc, worker))
+        if progress is not None:
+            progress.cell_failed()
+
+    def done(index, result, worker):
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+        if progress is not None:
+            progress.cell_done(worker=worker)
+
+    pool = _open_pool(jobs) if jobs > 1 else None
+    if pool is None:
+        for index, spec in enumerate(specs):
+            try:
+                result = simulate_cell(spec)
+            except Exception as exc:
+                fail(index, exc, "serial")
+                continue
+            done(index, result, "serial")
+        return results
+
+    futures = {}
+    died = False
+    try:
+        try:
+            for index, spec in enumerate(specs):
+                futures[pool.submit(_simulate_in_worker, spec)] = index
+        except BrokenProcessPool:
+            # A worker died before every spec was queued; the futures
+            # already queued still resolve below.
+            died = True
+        for future in as_completed(futures):
+            index = futures[future]
+            try:
+                pid, result = future.result()
+            except BrokenProcessPool:
+                died = True
+                continue
+            except Exception as exc:
+                fail(index, exc, None)
+                continue
+            done(index, result, "pid-%d" % pid)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    if died:
+        raise BrokenProcessPool(
+            "a pool worker process died mid-campaign; every cell that"
+            " finished before it was already reported (and stored, for a"
+            " store-backed campaign), so re-running the campaign resumes"
+            " it")
+    return results

@@ -1,25 +1,21 @@
 """Live progress and ETA reporting for campaign execution.
 
-One :class:`ProgressReporter` is shared by every execution backend
-(serial loop, multiprocessing pool, cluster coordinator): the runner
-calls :meth:`ProgressReporter.begin` with the number of cells actually
-going to execute, the backend calls :meth:`ProgressReporter.cell_done`
-once per completed cell (attributing it to a worker), and the reporter
-renders throttled status lines like::
+One :class:`ProgressReporter` serves both ways a batch runs (the
+serial loop and the local process pool): the runner calls
+:meth:`ProgressReporter.begin` with the number of cells actually going
+to execute, :func:`~repro.harness.parallel.run_cells` calls
+:meth:`ProgressReporter.cell_done` once per completed cell (attributing
+it to a worker), and the reporter renders throttled status lines
+like::
 
-    [grid] 12/32 cells | 3.1 cells/s | eta 6s | worker-1:5 worker-2:7
+    [grid] 12/32 cells | 3.1 cells/s | eta 6s | pid-101:5 pid-102:7
 
-Graceful degradation (the cluster backend) reports the failure side
-through the same object: :meth:`ProgressReporter.cell_failed` settles
-a cell as failed or quarantined, :meth:`ProgressReporter.requeued`
-counts cells put back after a worker death, and
-:meth:`ProgressReporter.failure_cleared` un-settles a failure when a
-late first result wins after all.  The status line appends
-``N failed``/``N quarantined``/``N requeued`` only when nonzero, so
-clean campaigns render exactly as before.
+A cell whose simulation raised is settled through
+:meth:`ProgressReporter.cell_failed`; the status line appends
+``N failed`` only when nonzero, so clean campaigns render exactly as
+before.
 
-All methods are thread-safe — pool completions and cluster connection
-threads report concurrently.  ``stream=None`` keeps the reporter
+All methods are thread-safe.  ``stream=None`` keeps the reporter
 silent while still accumulating counters, which is how programmatic
 callers (and tests) read progress without console noise.
 
@@ -49,8 +45,6 @@ class ProgressReporter:
         self.total = 0
         self.done = 0
         self.failed = 0
-        self.quarantined = 0
-        self.requeues = 0
         self.per_worker = {}
         self._lock = threading.Lock()
         self._started = None
@@ -65,8 +59,6 @@ class ProgressReporter:
             self.total = int(total)
             self.done = 0
             self.failed = 0
-            self.quarantined = 0
-            self.requeues = 0
             self.per_worker = {}
             self._started = time.monotonic()
             self._last_render = 0.0
@@ -85,31 +77,15 @@ class ProgressReporter:
         if line is not None:
             print(line, file=self.stream)
 
-    def cell_failed(self, worker=None, kind="deterministic"):
-        """Settle one cell as failed (``kind="poisoned"`` → quarantined)."""
+    def cell_failed(self):
+        """Settle one cell as failed (its simulation raised)."""
         with self._lock:
             if self._started is None:
                 self._started = time.monotonic()
-            if kind == "poisoned":
-                self.quarantined += 1
-            else:
-                self.failed += 1
+            self.failed += 1
             line = self._maybe_render_locked()
         if line is not None:
             print(line, file=self.stream)
-
-    def failure_cleared(self, kind="deterministic"):
-        """Un-settle a failure: a late first result won after all."""
-        with self._lock:
-            if kind == "poisoned":
-                self.quarantined = max(0, self.quarantined - 1)
-            else:
-                self.failed = max(0, self.failed - 1)
-
-    def requeued(self, count=1):
-        """Record ``count`` cells put back on the queue (worker death)."""
-        with self._lock:
-            self.requeues += int(count)
 
     def finish(self):
         """Emit the final status line (unless it was just rendered)."""
@@ -134,8 +110,6 @@ class ProgressReporter:
             "label": self.label,
             "done": self.done,
             "failed": self.failed,
-            "quarantined": self.quarantined,
-            "requeues": self.requeues,
             "total": self.total,
             "elapsed_seconds": elapsed,
             "cells_per_second": rate,
@@ -156,7 +130,7 @@ class ProgressReporter:
         return time.monotonic() - self._started
 
     def _settled_locked(self):
-        return self.done + self.failed + self.quarantined
+        return self.done + self.failed
 
     def _maybe_render_locked(self):
         if self.stream is None:
@@ -177,10 +151,6 @@ class ProgressReporter:
         parts = ["[%s] %d/%d cells" % (self.label, self.done, self.total)]
         if self.failed:
             parts.append("%d failed" % self.failed)
-        if self.quarantined:
-            parts.append("%d quarantined" % self.quarantined)
-        if self.requeues:
-            parts.append("%d requeued" % self.requeues)
         parts.append("%.1f cells/s" % rate)
         settled = self._settled_locked()
         remaining = max(0, self.total - settled)

@@ -1,4 +1,4 @@
-"""Simulation campaign engine: content-addressed cache + executor.
+"""Simulation campaign engine: content-addressed cache + local runs.
 
 Regenerating every table and figure needs the full
 (22 benchmarks x 4 configs x 4 schemes) grid; many experiments share
@@ -23,8 +23,9 @@ Three layers cooperate:
   segment only if ``regs``/``memory``/``extra`` is touched — which no
   experiment does, so a store-backed report reads no segment at all;
 - :func:`~repro.harness.parallel.run_cells`, which
-  :meth:`CampaignRunner.run_grid` uses to shard the *uncached* cells
-  of a grid across a multiprocessing pool (serial fallback included).
+  :meth:`CampaignRunner.run_grid` uses to run the *uncached* cells of
+  a grid serially or across a local process pool, streaming each
+  result (or failure record) into the store as the cell finishes.
 
 ``python -m repro`` exposes all of this on the command line.
 """
@@ -95,8 +96,8 @@ class CampaignRunner:
         result = (self.store.load_many((key,)).get(key)
                   if self.store is not None else None)
         if result is None:
-            # The one cell path every executor uses, so stored results
-            # are identical however a cell was produced.
+            # The one cell path serial and pool runs use, so stored
+            # results are identical however a cell was produced.
             result = simulate_cell(self._cell_spec(
                 benchmark, config, scheme_name, scheme_kwargs))
             self._persist(key, result, benchmark, config, scheme_name,
@@ -159,17 +160,15 @@ class CampaignRunner:
     # -- grid execution ----------------------------------------------------
 
     def run_grid(self, configs=None, schemes=None, benchmarks=None,
-                 jobs=None, executor=None, progress=None):
+                 jobs=None, progress=None):
         """Populate a (benchmark x config x scheme) grid, in parallel.
 
         Cells already in the in-process cache or the persistent store
-        are skipped; the remainder goes to ``executor`` (any
-        :class:`~repro.harness.executor.Executor` — serial, pool, or
-        cluster) or, when none is given, is sharded across ``jobs``
-        local workers (defaulting to the runner's ``jobs``) and merged
-        back into both cache layers.  Returns a summary dict with
-        ``total``, ``cached``, ``from_store``, and ``simulated``
-        counts.
+        are skipped; the remainder is sharded across ``jobs`` local
+        workers (defaulting to the runner's ``jobs``) and merged back
+        into both cache layers.  Returns a summary dict with
+        ``total``, ``cached``, ``from_store``, ``simulated`` and
+        ``failed`` counts.
         """
         configs = list(configs or named_configs())
         schemes = tuple(schemes or grid_scheme_names())
@@ -180,27 +179,25 @@ class CampaignRunner:
             for scheme in schemes
             for benchmark in benchmarks
         ]
-        return self.run_cell_batch(cells, jobs=jobs, executor=executor,
-                                   progress=progress)
+        return self.run_cell_batch(cells, jobs=jobs, progress=progress)
 
-    def run_cell_batch(self, cells, jobs=None, executor=None, progress=None):
+    def run_cell_batch(self, cells, jobs=None, progress=None):
         """Populate arbitrary ``(benchmark, config, scheme)`` cells.
 
         The sparse counterpart of :meth:`run_grid`, for callers that
         know exactly which cells they need (e.g. the CLI pre-populating
         only the slices the requested experiments read).  Same caching,
-        store, and summary semantics; backend selection as in
-        :meth:`run_grid`.  ``progress`` (a
-        :class:`~repro.harness.progress.ProgressReporter`) is armed
-        with the count of cells actually executing and fed by the
-        backend as they complete.
+        store, and summary semantics; ``jobs`` as in :meth:`run_grid`.
+        ``progress`` (a :class:`~repro.harness.progress.ProgressReporter`)
+        is armed with the count of cells actually executing and fed as
+        they complete.
 
-        Graceful degradation: a backend that settles cells as
-        :class:`~repro.harness.store.CellFailure` instead of raising
-        (the cluster, unless ``fail_fast``) reports them through
-        ``on_failure`` — each is persisted as a failure record in the
-        store, counted in the summary's ``failed``, and its ``None``
-        result is simply not cached, so a later campaign retries it.
+        A cell whose simulation raises does not abort a store-backed
+        batch: :func:`~repro.harness.parallel.run_cells` reports it as
+        a :class:`~repro.harness.store.CellFailure`, which is persisted
+        as a failure record in the store, counted in the summary's
+        ``failed``, and not cached, so a later campaign retries it.
+        Without a store the exception propagates.
         """
         jobs = self.jobs if jobs is None else jobs
         # Dedup within the batch (identical cells hash identically), so
@@ -239,24 +236,21 @@ class CampaignRunner:
             progress.begin(len(specs))
 
         def persist_streaming(index, result):
-            # Fired by the backend as each cell completes (possibly
-            # from a pool/coordinator thread): results reach the store
+            # Fired as each cell completes: results reach the store
             # while the campaign is still running, so an interruption
             # keeps every cell already simulated.  A result also clears
-            # any failure record left by an earlier attempt — first
-            # result wins over quarantine.
+            # any failure record left by an earlier attempt.
             key, benchmark, config, scheme = pending[index]
             self._persist(key, result, benchmark, config, scheme, {})
             self.store.clear_failure(key)
 
         def persist_failure(index, failure):
             # Failure-side twin: settle the cell's CellFailure record
-            # in the store so ``python -m repro store failures`` (and a
-            # resumed campaign) can see what went wrong.
+            # in the store so ``python -m repro store failures`` can
+            # show what went wrong.
             self.store.save_failure(failure)
 
-        results = run_cells(specs, jobs=jobs, executor=executor,
-                            progress=progress,
+        results = run_cells(specs, jobs=jobs, progress=progress,
                             on_result=persist_streaming
                             if self.store is not None else None,
                             on_failure=persist_failure

@@ -32,8 +32,8 @@ cooperating structures under the store root:
     pickled :class:`~repro.pipeline.stats.SimStats` blob — the
     columnar fast path that lets analysis read per-cell statistics
     without touching (or decompressing) any segment payload.  The
-    ``segments`` table allocates segment ids and tracks sealing.  WAL
-    journaling keeps one writer and any number of readers (threads or
+    ``segments`` table allocates segment ids and tracks sealing.  SQLite's
+    WAL mode keeps one writer and any number of readers (threads or
     processes) live on the same store.
 
 Compaction (:meth:`ResultStore.compact`) rewrites the live records of
@@ -198,7 +198,7 @@ class Manifest:
             try:
                 conn.execute("PRAGMA journal_mode=WAL")
             except sqlite3.DatabaseError:
-                pass  # WAL unsupported (exotic fs): default journal works
+                pass  # WAL unsupported (exotic fs): rollback mode works
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             row = conn.execute("SELECT v FROM meta WHERE k='format'"

@@ -33,11 +33,10 @@ return lazily-decoded results, and analysis passes read statistics
 columnar — without decompressing a single snapshot.  Segments are the
 only format: stray ``*.json`` files in the store root are ignored.
 
-Failures are first-class: a cell the campaign could not complete —
-quarantined after repeatedly killing workers, a deterministic
-exception, a watchdog timeout — persists as a :class:`CellFailure`
-record under ``failures/`` beside the results, written with the same
-atomic discipline as before.  A later successful result for the cell
+Failures are first-class: a cell the campaign could not complete
+(its simulation raised) persists as a :class:`CellFailure` record under
+``failures/`` beside the results, written with the same atomic
+discipline as before.  A later successful result for the cell
 clears its failure record (first-result-wins), and ``python -m repro
 store failures`` lists whatever remains.
 """
@@ -80,9 +79,11 @@ DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", "results/store")
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 #: Recognised failure classes (see the failure-model contract in
-#: :mod:`repro.harness`): ``poisoned`` — the cell killed workers until
-#: it was quarantined; ``deterministic`` — the simulation raised;
-#: ``timeout`` — the worker's watchdog hit its wall-clock deadline.
+#: :mod:`repro.harness`).  Only ``deterministic`` — the simulation
+#: raised — is produced now; ``poisoned`` (the cell killed workers
+#: until it was quarantined) and ``timeout`` (a worker watchdog hit
+#: its deadline) stay accepted so records written by older builds
+#: still list.
 FAILURE_KINDS = ("poisoned", "deterministic", "timeout")
 
 #: Result fields that require decoding the stored snapshot payload;
@@ -743,8 +744,8 @@ class ResultStore:
 
         Failures live under ``failures/`` with the same browsable
         prefix + digest naming (:func:`cell_filename`).  Saving is
-        idempotent per key (atomic replace), so a quarantine re-recorded
-        on resume or retried campaigns never duplicate.
+        idempotent per key (atomic replace), so a failure re-recorded by
+        a retried campaign never duplicates.
         """
         directory = self.failures_dir
         directory.mkdir(parents=True, exist_ok=True)
@@ -792,10 +793,9 @@ class ResultStore:
     def clear_failure(self, key):
         """Drop the failure record for ``key`` (first-result-wins).
 
-        Called whenever a result for the cell lands — a late result
-        from a presumed-dead worker, or a retry that succeeded — so a
-        cell is never simultaneously a result and a failure.  Returns
-        True when a record was removed.
+        Called whenever a result for the cell lands — a retry that
+        succeeded — so a cell is never simultaneously a result and a
+        failure.  Returns True when a record was removed.
         """
         path = self._failure_path(key)
         if path is None:

@@ -1,6 +1,6 @@
 """Cycle-attribution observability: where every pipeline slot went.
 
-Three layers, all strictly opt-in and zero-cost when disabled — the
+Two layers, both strictly opt-in and zero-cost when disabled — the
 core takes observability sinks at construction and devirtualises them
 exactly like the scheme hooks (``None`` = no-op, never called):
 
@@ -13,10 +13,6 @@ exactly like the scheme hooks (``None`` = no-op, never called):
 * :class:`~repro.obs.pipeview.PipeTracer` — per-uop pipeline event
   traces in gem5 O3PipeView format, viewable in Konata
   (``python -m repro pipeview``).
-* :mod:`repro.obs.telemetry` — cluster telemetry: workers stamp each
-  result frame with wall time / peak RSS / replay engagement, the
-  coordinator aggregates per-worker and per-scheme rollups
-  (``python -m repro metrics`` reads the persisted cycle accounts).
 
 Attribution taxonomy
 --------------------
@@ -91,24 +87,16 @@ pure stepping.
 All counters ride ``SimStats.extra`` under the ``cycacct.`` namespace
 (leaves, ``cycacct.scheme.<sub>``, per-label issue-block counts under
 ``cycacct.issue_blocks.``, and summed per-cycle occupancies under
-``cycacct.occ.``), so they flow through the existing result store and
-cluster wire without new schema.
+``cycacct.occ.``), so they flow through the existing result store without new
+schema (``python -m repro metrics`` reads them back).
 """
 
 from repro.obs.account import CycleAccount, LEAF_CAUSES
 from repro.obs.pipeview import PipeTracer, trace_pipeline
-from repro.obs.telemetry import (
-    TelemetryAggregate,
-    cell_telemetry,
-    format_rollup,
-)
 
 __all__ = [
     "CycleAccount",
     "LEAF_CAUSES",
     "PipeTracer",
     "trace_pipeline",
-    "TelemetryAggregate",
-    "cell_telemetry",
-    "format_rollup",
 ]

@@ -109,25 +109,6 @@ class CoreConfig:
         return digest
 
 
-def config_from_dict(data):
-    """Rebuild a :class:`CoreConfig` from :meth:`CoreConfig.to_dict` output.
-
-    The inverse used wherever configurations travel as plain JSON —
-    most importantly the cluster wire protocol, which ships each grid
-    cell's full configuration to remote workers.  Unknown fields raise
-    (a worker running a different model version must not silently
-    simulate a truncated configuration), and the rebuilt config is
-    validated before use.
-    """
-    data = dict(data)
-    mem = data.pop("mem", None)
-    config = CoreConfig(
-        mem=MemConfig(**mem) if mem is not None else MemConfig(), **data
-    )
-    config.validate()
-    return config
-
-
 def boom_config(size):
     """Return one of the paper's four BOOM configurations by name.
 

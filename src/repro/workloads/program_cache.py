@@ -2,9 +2,9 @@
 
 Workload generation is deterministic but not free: every grid cell
 used to regenerate its benchmark program from scratch, so a worker
-(pool process, cluster worker, or the serial loop) simulating the same
-benchmark under sixteen config x scheme combinations paid the
-generation cost sixteen times.  This module memoises programs behind a
+(pool process or the serial loop) simulating the same benchmark under
+sixteen config x scheme combinations paid the generation cost sixteen
+times.  This module memoises programs behind a
 content-addressed key so each distinct workload is generated at most
 once per process.
 
@@ -21,15 +21,15 @@ The key (:func:`program_key`) is a SHA-256 over
 Two layers:
 
 * **In-process dict** — always on.  ``fork``-based pool workers
-  inherit the parent's entries, cluster worker threads share one
-  cache, and a worker looping over many cells of one benchmark
-  generates it once.  Programs are safe to share — simulation copies
-  the initial memory image and never mutates the instruction list.
+  inherit the parent's entries, and a worker looping over many cells
+  of one benchmark generates it once.  Programs are safe to share —
+  simulation copies the initial memory image and never mutates the
+  instruction list.
 * **Disk (optional)** — :func:`configure_disk_cache` points the cache
   at a directory (the CLI uses ``<store-dir>/programs``; the
   ``REPRO_PROGRAM_CACHE_DIR`` environment variable seeds the default),
   and programs persist as one JSON file per key, so *separate
-  processes* — repeated CLI runs, freshly spawned cluster workers —
+  processes* — repeated CLI runs, concurrent ``grid`` processes —
   reuse generations across their lifetimes.  Writes are atomic (temp
   file + rename) and corrupt or unreadable files fall back to
   regeneration; content addressing makes sharing one directory between

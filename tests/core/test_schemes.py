@@ -193,10 +193,9 @@ def test_fence_loads_only_narrows_the_mask():
 
 
 def test_fence_loads_only_is_a_registry_kwarg():
-    """Wired like any registry kwarg: schema-validated construction,
-    distinct store keys, and cluster wire round-trip."""
+    """Wired like any registry kwarg: schema-validated construction and
+    distinct store keys."""
     from repro.core.registry import get_spec
-    from repro.harness.cluster.protocol import spec_from_wire, spec_to_wire
     from repro.harness.store import simulation_key
 
     schema = get_spec("fence").kwargs
@@ -215,10 +214,6 @@ def test_fence_loads_only_is_a_registry_kwarg():
     narrowed = simulation_key("503.bwaves", MEGA, "fence",
                               scheme_kwargs={"loads_only": True})
     assert plain != narrowed  # different point, different cell
-
-    spec = ("503.bwaves", MEGA, "fence", (("loads_only", True),), 1.0, 2017)
-    roundtrip = spec_from_wire(spec_to_wire(spec))
-    assert roundtrip[3] == (("loads_only", True),)
 
 
 def test_fence_keeps_fast_forward_unvetoed():

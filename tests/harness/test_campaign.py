@@ -1,8 +1,16 @@
-"""Campaign-engine tests: cache keys, store round-trips, parallelism."""
+"""Campaign-engine tests: cache keys, store round-trips, parallelism,
+cell failures and resume, progress reporting."""
+
+import io
+import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.harness.parallel as parallel
 from repro.harness.parallel import run_cells
+from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner, shared_runner
 from repro.harness.store import ResultStore, simulation_key
 from repro.pipeline.config import CoreConfig, MEDIUM, MEGA, SMALL
@@ -67,8 +75,6 @@ def test_config_fingerprint_memo_is_invisible():
     import json
     import pickle
 
-    from repro.pipeline.config import config_from_dict
-
     config = MEGA.scaled(name="memo", rob_entries=96)
     before = (config.to_dict(), hash(config), repr(config))
     assert "_fingerprint" not in config.__dict__
@@ -89,10 +95,8 @@ def test_config_fingerprint_memo_is_invisible():
     narrower = config.scaled(rob_entries=64)
     assert "_fingerprint" not in narrower.__dict__
     assert narrower.fingerprint() != digest
-    # Configs travelling by pickle (pool workers) or as plain dicts
-    # (cluster wire) keep their identity.
+    # Configs travelling by pickle (pool workers) keep their identity.
     assert pickle.loads(pickle.dumps(config)).fingerprint() == digest
-    assert config_from_dict(config.to_dict()).fingerprint() == digest
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +360,210 @@ def test_run_cells_propagates_worker_errors():
     good = (BENCH, SMALL, "baseline", (), 0.05, 2017)
     # Two specs keep jobs=2 after the min(jobs, len(specs)) clamp, so
     # this genuinely exercises the pool path (exception pickled out of
-    # a worker and re-raised by pool.map), not the serial fallback.
+    # a worker and re-raised by the parent), not the serial fallback.
     with pytest.raises(KeyError):
         run_cells([good, bad], jobs=2)
     with pytest.raises(KeyError):
         run_cells([bad], jobs=1)
+
+
+# ----------------------------------------------------------------------
+# Cell failures: a raising cell is recorded, a dying worker aborts, and
+# re-running over the store resumes to a fault-free serial result.
+# ----------------------------------------------------------------------
+
+SCALE = 0.05
+SCHEMES = ("baseline", "nda")
+#: The one cell the fault tests make misbehave inside pool workers.
+POISON = ("548.exchange2", "nda")
+
+
+def store_bytes(root):
+    """``{key: canonical envelope bytes}`` of every cell in a store.
+
+    Segment *files* are append logs whose record order depends on which
+    cell finished first, so equivalence is asserted per envelope (key,
+    model version, meta, full result payload), where the store contract
+    lives.
+    """
+    store = ResultStore(root)
+    return {key: json.dumps(store.load_envelope(key),
+                            sort_keys=True).encode("utf-8")
+            for key in store.keys()}
+
+
+def serial_store(tmp_path):
+    """A fault-free serial campaign; returns its store's bytes."""
+    root = tmp_path / "serial"
+    runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
+                            store=ResultStore(root))
+    summary = runner.run_grid(configs=(SMALL,), schemes=SCHEMES)
+    assert summary["simulated"] == 4 and summary["failed"] == 0
+    return store_bytes(root)
+
+
+def inject_fault(monkeypatch, fault):
+    """Make the :data:`POISON` cell call ``fault()`` in pool workers.
+
+    Patched before the pool forks, so the workers inherit it.  The
+    parent never runs the fault: a serial fallback fails loudly instead
+    of taking the test process down.
+    """
+    parent = os.getpid()
+    simulate = parallel.simulate_cell
+
+    def faulty(spec):
+        if (spec[0], spec[2]) == POISON:
+            assert os.getpid() != parent, "fault cell ran outside the pool"
+            fault()
+        return simulate(spec)
+
+    monkeypatch.setattr(parallel, "simulate_cell", faulty)
+
+
+def spy_simulations(monkeypatch):
+    """Record the ``(benchmark, scheme)`` of every in-process simulation."""
+    simulated = []
+    simulate = parallel.simulate_cell
+
+    def spy(spec):
+        simulated.append((spec[0], spec[2]))
+        return simulate(spec)
+
+    monkeypatch.setattr(parallel, "simulate_cell", spy)
+    return simulated
+
+
+def campaign(root, jobs):
+    runner = CampaignRunner(scale=SCALE, benchmarks=SUBSET,
+                            store=ResultStore(root))
+    return runner, runner.run_grid(configs=(SMALL,), schemes=SCHEMES,
+                                   jobs=jobs)
+
+
+def test_raising_pool_cell_is_recorded_and_rerun_resumes(tmp_path,
+                                                         monkeypatch):
+    expected = serial_store(tmp_path)
+    root = tmp_path / "faulty"
+
+    def boom():
+        raise RuntimeError("injected simulation fault")
+
+    inject_fault(monkeypatch, boom)
+    runner, summary = campaign(root, jobs=2)
+    assert summary["failed"] == 1 and summary["simulated"] == 3
+    poison_key = runner.cell_key(POISON[0], SMALL, POISON[1])
+    [failure] = ResultStore(root).failures()
+    assert failure.kind == "deterministic"
+    assert failure.key == poison_key
+    assert (failure.benchmark, failure.config_name, failure.scheme_name) \
+        == (POISON[0], "small", POISON[1])
+    assert "injected simulation fault" in failure.error
+    assert "RuntimeError" in failure.traceback
+    stored = set(ResultStore(root).keys())
+    assert len(stored) == 3 and poison_key not in stored
+
+    monkeypatch.undo()
+    simulated = spy_simulations(monkeypatch)
+    _runner, summary = campaign(root, jobs=2)
+    assert simulated == [POISON]
+    assert summary["simulated"] == 1 and summary["from_store"] == 3
+    assert summary["failed"] == 0
+    assert ResultStore(root).failures() == []
+    assert store_bytes(root) == expected
+
+
+def test_dying_pool_worker_aborts_and_rerun_resumes(tmp_path, monkeypatch):
+    expected = serial_store(tmp_path)
+    root = tmp_path / "faulty"
+
+    inject_fault(monkeypatch, lambda: os._exit(1))
+    with pytest.raises(BrokenProcessPool, match="worker process died"):
+        campaign(root, jobs=2)
+    partial = store_bytes(root)
+    assert len(partial) < 4
+    # A cell that kills its worker is not settled as a failure.
+    assert ResultStore(root).failures() == []
+
+    monkeypatch.undo()
+    _runner, summary = campaign(root, jobs=2)
+    assert summary["from_store"] == len(partial)
+    assert summary["simulated"] == 4 - len(partial)
+    assert summary["failed"] == 0
+    assert store_bytes(root) == expected
+
+
+# ----------------------------------------------------------------------
+# Progress reporting.
+# ----------------------------------------------------------------------
+
+def test_serial_and_pool_report_progress_and_stream_results():
+    specs = [(benchmark, SMALL, "baseline", (), SCALE, 2017)
+             for benchmark in SUBSET]
+    for jobs in (1, 2):
+        progress = ProgressReporter(label="test").begin(len(specs))
+        streamed = {}
+        results = run_cells(
+            specs, jobs=jobs, progress=progress,
+            on_result=lambda i, r: streamed.__setitem__(i, r))
+        assert progress.done == len(specs)
+        assert sorted(streamed) == list(range(len(specs)))
+        for index, result in enumerate(results):
+            assert streamed[index].stats.to_dict() == result.stats.to_dict()
+
+
+def test_progress_reporter_counters_and_render():
+    progress = ProgressReporter(label="grid").begin(4)
+    for _ in range(3):
+        progress.cell_done(worker="w1")
+    progress.cell_done(worker="w2")
+    snap = progress.snapshot()
+    assert snap["done"] == 4 and snap["total"] == 4
+    assert snap["per_worker"] == {"w1": 3, "w2": 1}
+    assert snap["cells_per_second"] > 0
+    line = progress.render()
+    assert "4/4" in line and "w1:3" in line and "w2:1" in line
+    # A clean campaign's line carries no failure noise.
+    assert "failed" not in line
+
+
+def test_progress_reporter_failure_counters():
+    progress = ProgressReporter(label="grid").begin(4)
+    progress.cell_done(worker="w1")
+    progress.cell_failed()
+    progress.cell_failed()
+    snap = progress.snapshot()
+    assert snap["failed"] == 2
+    # Failures settle cells: 1 done + 2 failed of 4 -> 1 remaining.
+    line = progress.render()
+    assert "1/4" in line and "2 failed" in line
+    progress.cell_done(worker="w2")
+    assert "done in" in progress.render()
+
+
+def test_progress_json_mode_emits_parseable_snapshots():
+    stream = io.StringIO()
+    reporter = ProgressReporter(label="grid", stream=stream,
+                                min_interval=0.0, mode="json")
+    reporter.begin(2)
+    reporter.cell_done(worker="w1")
+    reporter.cell_done(worker="w2")
+    reporter.finish()
+
+    lines = [line for line in stream.getvalue().splitlines() if line]
+    assert lines, "json mode emitted nothing"
+    for line in lines:
+        snap = json.loads(line)
+        assert snap["label"] == "grid"
+        assert snap["total"] == 2
+    final = json.loads(lines[-1])
+    assert final["done"] == 2
+    assert final["per_worker"] == {"w1": 1, "w2": 1}
+
+
+def test_progress_mode_validated():
+    with pytest.raises(ValueError, match="unknown progress mode"):
+        ProgressReporter(mode="yaml")
 
 
 def test_experiment_grid_needs():

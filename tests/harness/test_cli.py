@@ -4,19 +4,13 @@ import json
 
 import pytest
 
-from repro.__main__ import main, parse_hostport
+from repro.__main__ import main
 from repro.harness.bench import profile_cell
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
 from repro.pipeline.config import SMALL
 
 BENCH = "503.bwaves"
-
-
-def test_parse_hostport():
-    assert parse_hostport("example.org:9000") == ("example.org", 9000)
-    assert parse_hostport("example.org") == ("example.org", 2017)
-    assert parse_hostport(":9000") == ("127.0.0.1", 9000)
 
 
 def test_cli_grid_serial_and_store(tmp_path, capsys):
@@ -27,18 +21,6 @@ def test_cli_grid_serial_and_store(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 cells" in out and "1 simulated" in out
     assert len(ResultStore(tmp_path)) == 1
-
-
-def test_cli_grid_cluster_executor(tmp_path, capsys):
-    code = main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
-                 "--configs", "small", "--schemes", "baseline", "nda",
-                 "--executor", "cluster", "--local-workers", "2",
-                 "--store-dir", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "cluster coordinator serving on" in out
-    assert "2 simulated" in out
-    assert len(ResultStore(tmp_path)) == 2
 
 
 def test_cli_store_verify_and_gc(tmp_path, capsys):
@@ -95,30 +77,31 @@ def test_cli_store_failures(tmp_path, capsys):
     assert "wall-clock" in out
 
 
-def test_cli_serve_writes_journal_and_resumes(tmp_path, capsys):
-    from repro.harness.journal import CampaignJournal, journal_path
+def test_cli_grid_records_failed_cell_and_rerun_resumes(tmp_path, capsys,
+                                                       monkeypatch):
+    import repro.harness.parallel as parallel
 
-    args = ["serve", "--scale", "0.05", "--benchmarks", BENCH,
-            "--configs", "small", "--schemes", "baseline",
-            "--host", "127.0.0.1", "--port", "0", "--local-workers", "2",
+    simulate = parallel.simulate_cell
+
+    def faulty(spec):
+        if spec[2] == "nda":
+            raise RuntimeError("injected simulation fault")
+        return simulate(spec)
+
+    args = ["grid", "--scale", "0.05", "--benchmarks", BENCH,
+            "--configs", "small", "--schemes", "baseline", "nda",
             "--store-dir", str(tmp_path)]
+    monkeypatch.setattr(parallel, "simulate_cell", faulty)
+    assert main(args) == 1
+    assert "1 simulated" in capsys.readouterr().out
+    assert main(["store", "failures", "--store-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "deterministic" in out and "injected simulation fault" in out
+
+    monkeypatch.undo()
     assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "campaign drained" in out and "1 simulated" in out
-    state = CampaignJournal.load(journal_path(tmp_path))
-    assert state is not None and len(state.done) == 1
-
-    # Simulate a coordinator crash that lost the store cells: --resume
-    # replays the journal, re-simulates the missing cell, and the
-    # journal gains a session marker.
-    from repro.harness.store import ResultStore
-
-    ResultStore(tmp_path).clear()
-    assert main(args + ["--resume"]) == 0
-    out = capsys.readouterr().out
-    assert "1 simulated" in out
-    resumed = CampaignJournal.load(journal_path(tmp_path))
-    assert resumed.sessions == 2 and len(resumed.done) == 1
+    assert "1 simulated, 1 from store" in capsys.readouterr().out
+    assert main(["store", "failures", "--store-dir", str(tmp_path)]) == 0
 
 
 def test_cli_accepts_underscore_scheme_aliases(tmp_path, capsys):
@@ -170,16 +153,6 @@ def test_cli_grid_populates_program_disk_cache(tmp_path, capsys):
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "definitely-not-an-experiment"]) == 2
     assert "unknown experiment" in capsys.readouterr().err
-
-
-def test_cli_work_refuses_bad_coordinator(capsys):
-    # Nothing listens: the reconnect loop (disabled here to keep the
-    # test instant) exhausts and the worker reports the loss, exit 1.
-    code = main(["work", "--connect", "127.0.0.1:1",
-                 "--max-reconnects", "0"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "lost its coordinator" in err and "0 reconnect(s)" in err
 
 
 def test_cli_pipeview_writes_trace(tmp_path, capsys):
