@@ -60,6 +60,7 @@ from repro.core.registry import (
     iter_specs,
     scheme_names,
 )
+from repro.harness.bench import PROFILE_SORTS, THROUGHPUT_LABELS
 from repro.harness.experiments import (
     experiment_ids,
     needed_cells,
@@ -68,7 +69,18 @@ from repro.harness.experiments import (
 from repro.harness.progress import make_progress
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import DEFAULT_STORE_DIR, ResultStore
-from repro.pipeline.config import boom_config
+from repro.pipeline.config import boom_config, named_configs
+from repro.workloads.characteristics import SPEC_BENCHMARKS
+
+#: ``--config(s)`` choices, matched case-insensitively (``str.lower``).
+CONFIG_NAMES = tuple(config.name for config in named_configs())
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def build_parser():
@@ -88,6 +100,7 @@ def build_parser():
         p.add_argument("--jobs", type=int, default=1,
                        help="parallel simulation workers (default 1)")
         p.add_argument("--benchmarks", nargs="+", metavar="NAME",
+                       choices=SPEC_BENCHMARKS,
                        help="restrict to these benchmarks")
         p.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
@@ -101,7 +114,9 @@ def build_parser():
 
     def add_selection(p):
         p.add_argument("--configs", nargs="+", metavar="NAME",
-                       help="BOOM config names (default: all four)")
+                       type=str.lower, choices=CONFIG_NAMES,
+                       help="BOOM config names (default: all four,"
+                            " %s)" % ", ".join(CONFIG_NAMES))
         p.add_argument("--schemes", nargs="+", metavar="NAME",
                        type=canonical_name, choices=scheme_names(),
                        help="scheme names (default: the standard grid,"
@@ -141,14 +156,17 @@ def build_parser():
     store.add_argument("--seed", type=int, default=2017,
                        help="gc: grid seed to keep (default 2017)")
     store.add_argument("--benchmarks", nargs="+", metavar="NAME",
+                       choices=SPEC_BENCHMARKS,
                        help="gc: restrict the kept grid to these"
                             " benchmarks")
 
     profile = sub.add_parser(
         "profile", help="cProfile one grid cell (top cumulative entries)")
     profile.add_argument("--benchmark", default="chase-cold",
+                         choices=THROUGHPUT_LABELS,
                          help="throughput workload (default chase-cold)")
     profile.add_argument("--config", default="mega",
+                         type=str.lower, choices=CONFIG_NAMES,
                          help="BOOM config name (default mega)")
     profile.add_argument("--scheme", default="baseline",
                          type=canonical_name, choices=scheme_names(),
@@ -158,7 +176,7 @@ def build_parser():
     profile.add_argument("--top", type=int, default=25,
                          help="profile entries to print (default 25)")
     profile.add_argument("--sort", default="cumulative",
-                         choices=("cumulative", "cumtime", "tottime"),
+                         choices=PROFILE_SORTS,
                          help="pstats sort key (default cumulative)")
     profile.add_argument("--json", action="store_true",
                          help="emit the top entries as JSON instead of"
@@ -168,10 +186,11 @@ def build_parser():
     pipeview = sub.add_parser(
         "pipeview",
         help="dump a Konata-compatible O3PipeView trace of one workload")
-    pipeview.add_argument("benchmark",
+    pipeview.add_argument("benchmark", choices=THROUGHPUT_LABELS,
                           help="throughput workload to trace (one of the"
                                " throughput suite labels, e.g. chase-cold)")
     pipeview.add_argument("--config", default="mega",
+                          type=str.lower, choices=CONFIG_NAMES,
                           help="BOOM config name (default mega)")
     pipeview.add_argument("--scheme", default="baseline",
                           type=canonical_name, choices=scheme_names(),
@@ -179,7 +198,7 @@ def build_parser():
     pipeview.add_argument("--scale", type=float, default=1.0,
                           help="workload iteration multiplier"
                                " (default 1.0)")
-    pipeview.add_argument("--limit", type=int, default=5000,
+    pipeview.add_argument("--limit", type=_positive_int, default=5000,
                           help="max uops captured (default 5000; later"
                                " uops are dropped, not sampled)")
     pipeview.add_argument("--output", metavar="PATH", default=None,

@@ -14,6 +14,10 @@ One canonical workload suite (:func:`throughput_suite`) is shared by
 * ``scripts/overhead_smoke.py`` — the deterministic zero-overhead
   check run over every suite workload.
 
+Profile and pipeview share one core builder, :func:`suite_core`, which
+matches :func:`~repro.harness.parallel.simulate_cell` (trace replay
+plus the cycle account).
+
 The suite deliberately spans the kernel's performance regimes:
 
 * ``streaming-warm`` — high-IPC, issue/rename-bound (warm caches);
@@ -88,6 +92,23 @@ def throughput_suite(scale=1.0):
     ]
 
 
+def suite_core(benchmark, config, scheme_name="baseline", scheme_kwargs=None,
+               scale=1.0, tracer=None):
+    """Build (not run) the core of one :data:`THROUGHPUT_LABELS` workload
+    as :func:`~repro.harness.parallel.simulate_cell` builds a campaign
+    cell's — trace replay plus the cycle account — with an optional
+    pipeview ``tracer``."""
+    if benchmark not in THROUGHPUT_LABELS:
+        raise ValueError("unknown bench workload %r (choose from %s)"
+                         % (benchmark, ", ".join(THROUGHPUT_LABELS)))
+    program, warm = next((program, warm) for label, program, warm
+                         in throughput_suite(scale) if label == benchmark)
+    return OoOCore(program, config=config,
+                   scheme=make_scheme(scheme_name, **dict(scheme_kwargs or {})),
+                   warm_caches=warm, trace=record_trace(program),
+                   account=CycleAccount(), tracer=tracer)
+
+
 def host_metadata():
     """Where a host-time number came from: interpreter, OS, CPUs, git rev.
 
@@ -140,18 +161,8 @@ def profile_cell(benchmark="chase-cold", config_name="mega",
     if sort not in PROFILE_SORTS:
         raise ValueError("unknown profile sort %r (choose from %s)"
                          % (sort, ", ".join(PROFILE_SORTS)))
-    config = boom_config(config_name)
-    if benchmark not in THROUGHPUT_LABELS:
-        raise ValueError("unknown bench workload %r (choose from %s)"
-                         % (benchmark, ", ".join(THROUGHPUT_LABELS)))
-    for label, program, warm in throughput_suite(scale=scale):
-        if label == benchmark:
-            break
-    # The cycle account matches parallel.simulate_cell, so the profile
-    # covers the kernel configuration every campaign cell runs.
-    core = OoOCore(program, config=config, scheme=make_scheme(scheme_name),
-                   warm_caches=warm, trace=record_trace(program),
-                   account=CycleAccount())
+    core = suite_core(benchmark, boom_config(config_name), scheme_name,
+                      scale=scale)
     profiler = cProfile.Profile()
     profiler.enable()
     result = core.run()

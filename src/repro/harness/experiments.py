@@ -20,6 +20,7 @@ from repro.analysis.trends import (
     fit_trend,
     halved_slope_estimate,
 )
+from repro.harness import parallel
 from repro.pipeline.config import named_configs
 from repro.timing.area import estimate_area
 from repro.timing.power import estimate_power
@@ -41,6 +42,16 @@ class ExperimentReport:
 
     def __str__(self):
         return "%s\n%s\n%s" % (self.title, "=" * len(self.title), self.text)
+
+
+def _simulate_off_grid(runner, cells):
+    """Results, in order, for ``(benchmark, config, scheme, kwargs)``
+    cells outside an experiment's ``needs``: simulated through
+    :func:`~repro.harness.parallel.run_cells` on the runner's ``jobs``
+    like any campaign cell, but neither cached nor stored."""
+    specs = [runner.cell_spec(benchmark, config, scheme, kwargs)
+             for benchmark, config, scheme, kwargs in cells]
+    return parallel.run_cells(specs, jobs=runner.jobs)
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +352,8 @@ def _suite_power(config, scheme, results):
 # Table 5: BOOM vs gem5 IPC losses.
 # ----------------------------------------------------------------------
 
-def experiment_table5(runner, gem5_scale=None):
-    from repro.gem5.model import GEM5_EXCLUDED, Gem5Model
+def experiment_table5(runner):
+    from repro.gem5 import GEM5_EXCLUDED, gem5_config
     from repro.pipeline.config import LARGE, MEDIUM, MEGA
 
     comparable = [b for b in runner.benchmarks if b not in GEM5_EXCLUDED]
@@ -361,11 +372,13 @@ def experiment_table5(runner, gem5_scale=None):
         data["boom-" + config.name] = {"baseline_ipc": base_ipc, **losses}
         rows.append(row)
 
-    scale = gem5_scale if gem5_scale is not None else runner.scale
-    for which, scheme in (("stt", "stt-rename"), ("nda", "nda")):
-        model = Gem5Model(which, scale=scale, seed=runner.seed)
-        baseline = list(model.run_suite("baseline").values())
-        scheme_res = list(model.run_suite(scheme).values())
+    gem5_rows = (("stt", "stt-rename"), ("nda", "nda"))
+    results = iter(_simulate_off_grid(runner, [
+        (name, gem5_config(which), s, None) for which, scheme in gem5_rows
+        for s in ("baseline", scheme) for name in comparable]))
+    for which, scheme in gem5_rows:
+        baseline = [next(results) for _ in comparable]
+        scheme_res = [next(results) for _ in comparable]
         base_ipc = suite_mean_ipc(baseline)
         loss = 1.0 - suite_normalized_ipc(scheme_res, baseline)
         data["gem5-" + which] = {"baseline_ipc": base_ipc, scheme: loss}
@@ -433,21 +446,17 @@ def experiment_exchange2(runner, config=None):
 # ----------------------------------------------------------------------
 
 def experiment_ablation_store_taints(runner, config=None):
-    from repro.core.stt_rename import STTRenameScheme
     from repro.pipeline.config import MEGA
-    from repro.pipeline.core import OoOCore
 
     config = config or MEGA
-    benchmark = "548.exchange2"
-    program = runner.programs()[benchmark]
-
+    designs = (("unified (paper design)", False),
+               ("split taints (Section 9.2 fix)", True))
+    results = _simulate_off_grid(runner, [
+        ("548.exchange2", config, "stt-rename", {"split_store_taints": split})
+        for _label, split in designs])
     rows = []
     data = {}
-    for label, split in (("unified (paper design)", False),
-                         ("split taints (Section 9.2 fix)", True)):
-        core = OoOCore(program, config=config, warm_caches=True,
-                       scheme=STTRenameScheme(split_store_taints=split))
-        result = core.run()
+    for (label, _split), result in zip(designs, results):
         data[label] = {
             "ipc": result.stats.ipc,
             "stl_forward_errors": result.stats.stl_forward_errors,
@@ -468,30 +477,20 @@ def experiment_ablation_store_taints(runner, config=None):
 # ----------------------------------------------------------------------
 
 def experiment_ablation_l1_latency(runner, latencies=(1, 2, 4), scheme="nda"):
-    from dataclasses import replace
-
-    from repro.core.factory import make_scheme
     from repro.memsys.hierarchy import MemConfig
     from repro.pipeline.config import MEGA
-    from repro.pipeline.core import OoOCore
 
+    sample = runner.benchmarks[::4]
+    results = iter(_simulate_off_grid(runner, [
+        (name, MEGA.scaled(name="mega-l1-%d" % latency,
+                           mem=MemConfig(l1_latency=latency)), s, None)
+        for latency in latencies for s in ("baseline", scheme)
+        for name in sample]))
     rows = []
     data = {}
-    sample = [b for b in runner.benchmarks[::4]]
     for latency in latencies:
-        mem = MemConfig(l1_latency=latency)
-        config = MEGA.scaled(name="mega-l1-%d" % latency, mem=mem)
-        base_results, scheme_results = [], []
-        for name in sample:
-            program = runner.programs()[name]
-            base_results.append(
-                OoOCore(program, config=config, scheme=make_scheme("baseline"),
-                        warm_caches=True).run()
-            )
-            scheme_results.append(
-                OoOCore(program, config=config, scheme=make_scheme(scheme),
-                        warm_caches=True).run()
-            )
+        base_results = [next(results) for _ in sample]
+        scheme_results = [next(results) for _ in sample]
         base_ipc = suite_mean_ipc(base_results)
         loss = 1.0 - suite_normalized_ipc(scheme_results, base_results)
         data[latency] = {"baseline_ipc": base_ipc, "loss": loss}
@@ -520,8 +519,11 @@ def experiment_ablation_l1_latency(runner, latencies=(1, 2, 4), scheme="nda"):
 # would fall back to serial simulation).  ``needs`` is a zero-argument
 # callable returning ``(configs, schemes, benchmarks)`` —
 # ``benchmarks=None`` meaning the runner's full selection — or ``None``
-# for experiments that bypass the cache entirely (the ablations build
-# cores directly; figure9 is analytic).
+# for experiments that read no grid cell (figure9 is analytic; the
+# ablations read only off-grid cells).  Off-grid cells — Table 5's
+# gem5 rows and the ablations' ad-hoc configs and scheme kwargs —
+# are simulated through ``run_cells`` on every render and never
+# stored.
 
 
 @dataclass(frozen=True)
@@ -551,7 +553,7 @@ def _needs_mega_all():
 
 
 def _needs_table5():
-    from repro.gem5.model import GEM5_EXCLUDED
+    from repro.gem5 import GEM5_EXCLUDED
     from repro.pipeline.config import LARGE, MEDIUM, MEGA
     from repro.workloads.characteristics import SPEC_BENCHMARKS
 
@@ -578,8 +580,7 @@ EXPERIMENTS = {
     "table4": Experiment(experiment_table4, needs=_needs_mega_all),
     "table5": Experiment(experiment_table5, needs=_needs_table5),
     "exchange2": Experiment(experiment_exchange2, needs=_needs_exchange2),
-    # The ablations build their own cores with ad-hoc configs and never
-    # consult the runner cache.
+    # The ablations read only off-grid cells (simulated, not stored).
     "ablation-store-taints": Experiment(experiment_ablation_store_taints),
     "ablation-l1-latency": Experiment(experiment_ablation_l1_latency),
 }

@@ -34,7 +34,6 @@ from repro.core.registry import grid_scheme_names
 from repro.harness.parallel import run_cells, simulate_cell
 from repro.harness.store import simulation_key
 from repro.pipeline.config import named_configs
-from repro.workloads.spec2017 import spec_suite
 
 
 class CampaignRunner:
@@ -49,18 +48,7 @@ class CampaignRunner:
         self.benchmarks = tuple(benchmarks or SPEC_BENCHMARKS)
         self.store = store
         self.jobs = jobs
-        self._programs = None
         self._cache = {}
-
-    # -- program generation (lazy, shared across runs) -------------------
-
-    def programs(self):
-        if self._programs is None:
-            self._programs = dict(
-                spec_suite(scale=self.scale, seed=self.seed,
-                           benchmarks=self.benchmarks)
-            )
-        return self._programs
 
     # -- cache identity ----------------------------------------------------
 
@@ -71,7 +59,9 @@ class CampaignRunner:
             scale=self.scale, seed=self.seed,
         )
 
-    def _cell_spec(self, benchmark, config, scheme_name, scheme_kwargs=None):
+    def cell_spec(self, benchmark, config, scheme_name, scheme_kwargs=None):
+        """The picklable spec :func:`~repro.harness.parallel.simulate_cell`
+        runs for one cell — the same identity :meth:`cell_key` hashes."""
         return (benchmark, config, scheme_name,
                 tuple(sorted((scheme_kwargs or {}).items())),
                 self.scale, self.seed)
@@ -98,7 +88,7 @@ class CampaignRunner:
         if result is None:
             # The one cell path serial and pool runs use, so stored
             # results are identical however a cell was produced.
-            result = simulate_cell(self._cell_spec(
+            result = simulate_cell(self.cell_spec(
                 benchmark, config, scheme_name, scheme_kwargs))
             self._persist(key, result, benchmark, config, scheme_name,
                           scheme_kwargs)
@@ -230,7 +220,7 @@ class CampaignRunner:
                 continue
             pending.append((key, benchmark, config, scheme))
 
-        specs = [self._cell_spec(benchmark, config, scheme)
+        specs = [self.cell_spec(benchmark, config, scheme)
                  for _key, benchmark, config, scheme in pending]
         if progress is not None:
             progress.begin(len(specs))

@@ -93,27 +93,13 @@ def trace_pipeline(benchmark, config=None, scheme_name="baseline",
     """Trace one throughput-suite workload; returns (tracer, result).
 
     ``benchmark`` names a workload from the canonical throughput suite
-    (:data:`repro.harness.bench.THROUGHPUT_LABELS`) so pipeview output
-    is directly comparable with ``profile`` output.
+    (:data:`repro.harness.bench.THROUGHPUT_LABELS`), built by
+    :func:`repro.harness.bench.suite_core` as ``profile`` builds it.
     """
-    from repro.core.factory import make_scheme
-    from repro.harness.bench import THROUGHPUT_LABELS, throughput_suite
+    from repro.harness.bench import suite_core
     from repro.pipeline.config import MEGA
-    from repro.pipeline.core import OoOCore
 
-    if benchmark not in THROUGHPUT_LABELS:
-        raise ValueError("unknown bench workload %r (choose from %s)"
-                         % (benchmark, ", ".join(THROUGHPUT_LABELS)))
-    for label, program, warm in throughput_suite(scale=scale):
-        if label == benchmark:
-            break
     tracer = PipeTracer(limit=limit)
-    core = OoOCore(
-        program,
-        config=config or MEGA,
-        scheme=make_scheme(scheme_name, **dict(scheme_kwargs or {})),
-        warm_caches=warm,
-        tracer=tracer,
-    )
-    result = core.run()
+    result = suite_core(benchmark, config or MEGA, scheme_name, scheme_kwargs,
+                        scale=scale, tracer=tracer).run()
     return tracer, result

@@ -583,7 +583,7 @@ def test_experiment_grid_needs():
     assert benchmarks == ("548.exchange2",)
     # table5 only reads the gem5-comparable subset; pre-population must
     # not pay for the excluded benchmarks.
-    from repro.gem5.model import GEM5_EXCLUDED
+    from repro.gem5 import GEM5_EXCLUDED
 
     _configs, _schemes, benchmarks = experiment_grid_needs("table5")
     assert benchmarks is not None

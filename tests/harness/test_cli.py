@@ -155,6 +155,28 @@ def test_cli_run_unknown_experiment(capsys):
     assert "unknown experiment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--config", "huge"],
+    ["grid", "--configs", "huge"],
+    ["grid", "--benchmarks", "nope"],
+    ["pipeview", "nope"],
+    ["pipeview", "streaming-warm", "--limit", "-1"],
+    ["pipeview", "streaming-warm", "--limit", "0"],
+])
+def test_cli_rejects_bad_names_with_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_config_names_are_case_insensitive(tmp_path, capsys):
+    assert main(["grid", "--scale", "0.05", "--benchmarks", BENCH,
+                 "--configs", "SMALL", "--schemes", "baseline",
+                 "--no-store"]) == 0
+    assert "1 simulated" in capsys.readouterr().out
+
+
 def test_cli_pipeview_writes_trace(tmp_path, capsys):
     out_file = tmp_path / "trace.out"
     code = main(["pipeview", "streaming-warm", "--config", "small",

@@ -88,19 +88,67 @@ def test_gem5_configs():
         gem5_config("esp")
 
 
-def test_gem5_model_excludes_paper_benchmarks():
-    from repro.gem5.model import GEM5_EXCLUDED, Gem5Model
-
-    model = Gem5Model("nda", scale=0.05)
-    names = model.benchmarks()
-    for excluded in GEM5_EXCLUDED:
-        assert excluded not in names
-    assert len(names) == 19
+#: Off-grid cells per experiment at ``OFF_GRID_BENCHMARKS``: Table 5's
+#: gem5 rows (2 configs x 2 schemes x 2 benchmarks), the two store-taint
+#: designs, and the L1 sweep (3 latencies x 2 schemes x 1 sampled).
+OFF_GRID = {"table5": 8, "ablation-store-taints": 2, "ablation-l1-latency": 6}
+OFF_GRID_BENCHMARKS = ("503.bwaves", "548.exchange2")
 
 
-def test_gem5_loss_computation():
-    from repro.gem5.model import gem5_ipc_loss
+@pytest.mark.parametrize("experiment_id", sorted(OFF_GRID))
+def test_off_grid_cells_simulate_through_simulate_cell(tmp_path, monkeypatch,
+                                                        experiment_id):
+    """Every core an off-grid artefact builds is a ``simulate_cell``
+    core, and its off-grid cells are never stored."""
+    import repro.harness.parallel as parallel_module
+    import repro.harness.runner as runner_module
+    from repro.harness.experiments import needed_cells
+    from repro.harness.store import ResultStore
+    from repro.pipeline.core import OoOCore
 
-    base_ipc, loss = gem5_ipc_loss("nda", "nda", scale=0.05)
-    assert base_ipc > 0
-    assert -0.2 <= loss <= 1.0
+    built, specs, saved = [], [], []
+    original_init = OoOCore.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original_init(self, *args, **kwargs)
+
+    original_simulate = parallel_module.simulate_cell
+
+    def counting_simulate(spec):
+        specs.append(spec)
+        return original_simulate(spec)
+
+    original_save = ResultStore.save
+
+    def counting_save(self, key, *args, **kwargs):
+        saved.append(key)
+        return original_save(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(OoOCore, "__init__", counting_init)
+    monkeypatch.setattr(parallel_module, "simulate_cell", counting_simulate)
+    monkeypatch.setattr(runner_module, "simulate_cell", counting_simulate)
+    monkeypatch.setattr(ResultStore, "save", counting_save)
+
+    store = ResultStore(tmp_path)
+    runner = CampaignRunner(scale=0.02, benchmarks=OFF_GRID_BENCHMARKS,
+                            store=store)
+    report = run_experiment(experiment_id, runner=runner)
+    store.close()
+
+    assert len(built) == len(specs) > 0
+    grid_keys = {runner.cell_key(b, c, s)
+                 for b, c, s in needed_cells((experiment_id,), runner)}
+    keys = [runner.cell_key(b, c, s, dict(kwargs))
+            for b, c, s, kwargs, _scale, _seed in specs]
+    off_grid = [key for key in keys if key not in grid_keys]
+    assert len(off_grid) == OFF_GRID[experiment_id]
+    # Off-grid cells are never stored; grid cells are stored once each.
+    assert not set(off_grid) & set(saved)
+    assert sorted(saved) == sorted(key for key in keys if key in grid_keys)
+
+    if experiment_id == "table5":
+        for which, scheme in (("stt", "stt-rename"), ("nda", "nda")):
+            row = report.data["gem5-" + which]
+            assert row["baseline_ipc"] > 0
+            assert -0.2 <= row[scheme] <= 1.0

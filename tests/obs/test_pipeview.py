@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from repro.core.factory import make_scheme
+from repro.harness.bench import throughput_suite
 from repro.isa import assemble
 from repro.obs import PipeTracer, trace_pipeline
 from repro.pipeline.config import SMALL
@@ -125,6 +126,15 @@ def test_trace_pipeline_runs_bench_workload():
     assert result.halted
     assert 0 < len(tracer.records) <= 64
     assert tracer.render().startswith("O3PipeView:fetch:")
+    # The core runs the campaign configuration (trace replay and the
+    # cycle account), which traces exactly what a plain core does.
+    assert result.stats.extra["cycacct.cycles"] == result.cycles
+    ((program, warm),) = [(program, warm) for label, program, warm
+                          in throughput_suite(scale=0.02)
+                          if label == "streaming-warm"]
+    plain = PipeTracer(limit=64)
+    OoOCore(program, config=SMALL, warm_caches=warm, tracer=plain).run()
+    assert tracer.render() == plain.render()
 
 
 def regenerate():
