@@ -5,7 +5,7 @@ Builds a synthetic campaign store (realistic-shaped cells from
 :mod:`repro.harness.storebench`), then drives every maintenance and
 analysis path a million-cell campaign depends on — ``store verify``,
 ``store stats``, ``store gc``, ``compact``, bulk ``load_many``, the
-columnar ``metrics`` scan — and asserts each answer is correct, not
+manifest-served ``metrics`` scan — and asserts each answer is correct, not
 just alive.  The whole run must finish inside a time budget so CI catches the exact
 failure segment files were introduced to prevent: store operations
 degrading from O(index) back toward O(cells x file-open).
@@ -22,7 +22,7 @@ import sys
 import tempfile
 import time
 
-from repro.harness.store import ResultStore
+from repro.harness.store import ResultStore, result_record
 from repro.harness.storebench import synthetic_key, synthetic_result
 
 
@@ -83,18 +83,19 @@ def main(argv=None):
                         % (len(loaded), len(sample)))
         probe = sample[len(sample) // 2]
         index = keys.index(probe)
-        if loaded[probe].to_dict() != synthetic_result(index).to_dict():
+        if (result_record(loaded[probe])
+                != result_record(synthetic_result(index))):
             return fail("load_many round-trip drifted for cell %d" % index)
         lap("load_many")
 
-        # The metrics hot path: a columnar full-store scan.
+        # The metrics hot path: a full-store scan off the manifest.
         cycles = 0
         rows = 0
-        for row in store.iter_results(fields=("stats",)):
+        for row in store.iter_results():
             cycles += row.stats.cycles
             rows += 1
         if rows != args.cells or cycles <= 0:
-            return fail("columnar scan saw %d rows (want %d)"
+            return fail("metrics scan saw %d rows (want %d)"
                         % (rows, args.cells))
         lap("metrics scan")
 

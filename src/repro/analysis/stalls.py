@@ -23,7 +23,8 @@ def cycle_account_breakdown(results):
     """Aggregate ``cycacct.`` extras per scheme.
 
     ``results`` is any iterable of
-    :class:`~repro.pipeline.core.SimulationResult` (e.g.
+    :class:`~repro.pipeline.core.SimulationResult` or
+    :class:`~repro.harness.store.StoredResult` (e.g.
     ``store.iter_results()``).  Cells without accounting extras (older
     stores, obs-disabled runs) are skipped.  Returns ``{scheme_name:
     rollup}`` where each rollup carries ``cells``, ``cycles``,
@@ -74,13 +75,12 @@ def cycle_account_breakdown(results):
 def store_stall_breakdown(store):
     """:func:`cycle_account_breakdown` over a whole result store.
 
-    Routes through the store's columnar bulk path
-    (``iter_results(fields=("stats",))``): statistics decode straight
-    from the manifest index, no snapshot payload is ever read — the
-    difference between an index scan and 10^4 decompress+parse round
-    trips on a campaign-sized store.
+    ``store.iter_results()`` serves every cell straight from the
+    manifest index: statistics decode from each row's blob and no
+    segment record is read — an index scan, not 10^4
+    decompress+parse round trips on a campaign-sized store.
     """
-    return cycle_account_breakdown(store.iter_results(fields=("stats",)))
+    return cycle_account_breakdown(store.iter_results())
 
 
 def _ordered_leaves(leaves):

@@ -24,13 +24,16 @@ shared segment files indexed by a SQLite manifest::
 
 Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
 zlib(canonical JSON)`` where the JSON payload is the envelope
-``{"key", "model_version", "meta", "result"}``.  The manifest's ``cells`` table maps every *full* 64-hex key
-to its segment/offset/length and carries the benchmark/config/scheme
+``{"key", "model_version", "meta", "result"}`` and ``result`` holds the
+cell's identity, ``halted``, ``cycles`` and statistics — no register
+or memory snapshot: every simulated cell is checked against the
+reference interpreter's final state before it is stored.  The
+manifest's ``cells`` table maps every *full* 64-hex key to its
+segment/offset/length and carries the benchmark/config/scheme
 columns, hot counters, and a per-cell statistics blob: ``keys()`` and
-``len()`` are pure index reads, ``load_many`` returns lazily-decoded
-results (snapshot payloads decompress only when touched), and
-``iter_results(fields=...)`` / ``load_columns`` serve analysis passes
-columnar with zero segment I/O.  Writers append a record and flush
+``len()`` are pure index reads, and ``load_many`` / ``iter_results``
+serve :class:`~repro.harness.store.StoredResult` rows with zero
+segment I/O.  Writers append a record and flush
 *before* indexing it, so a crash leaves at worst an unindexed orphan
 tail — never an indexed cell without bytes; each writer instance owns
 its segment, so concurrent writers never interleave.
@@ -70,7 +73,9 @@ done/total, cells/sec, ETA, per-worker attribution).
 
 **Failure model** (serial and pool alike):
 
-- *Recorded*: a cell whose simulation raises is settled as a
+- *Recorded*: a cell whose simulation raises — including a cell whose
+  final registers or memory differ from the reference interpreter's —
+  is settled as a
   :class:`~repro.harness.store.CellFailure` (kind ``deterministic``,
   with the error and traceback text); in a store-backed campaign the
   record persists under ``<store>/failures/`` (``python -m repro

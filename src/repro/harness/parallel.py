@@ -6,7 +6,9 @@ same identity that :func:`repro.harness.store.simulation_key` hashes.
 
 :func:`simulate_cell` executes one spec; the serial loop and the
 process pool both funnel through it, so a cell simulates identically
-wherever it lands.  Benchmark programs come from the content-addressed
+wherever it lands, and every cell's final registers and memory are
+checked against the reference interpreter's before it is returned.
+Benchmark programs come from the content-addressed
 :mod:`~repro.workloads.program_cache`: generation is seeded and
 per-benchmark independent (a subset build is bit-identical to a
 full-suite build), and a worker looping over many cells of one
@@ -52,11 +54,16 @@ def simulate_cell(spec):
     :mod:`repro.obs`): serial and pool runs both funnel through here,
     so stored results gain identical ``cycacct.`` extras and the store
     stays byte-identical however a cell was run.
+
+    The result's registers and non-zero memory must equal the final
+    state the trace recorded from the reference interpreter; a
+    mismatch raises ``ValueError``, which :func:`run_cells` records as
+    a ``deterministic`` :class:`CellFailure`.
     """
     benchmark, config, scheme_name, scheme_kwargs, scale, seed = spec
     program = cached_spec_program(benchmark, scale=scale, seed=seed)
     trace = cached_spec_trace(benchmark, scale=scale, seed=seed)
-    return OoOCore(
+    result = OoOCore(
         program,
         config=config,
         scheme=make_scheme(scheme_name, **dict(scheme_kwargs or {})),
@@ -64,6 +71,12 @@ def simulate_cell(spec):
         trace=trace,
         account=CycleAccount(),
     ).run()
+    try:
+        trace.check_final_state(result.regs, result.memory)
+    except ValueError as exc:
+        raise ValueError("%s/%s/%s: %s" % (benchmark, config.name,
+                                           scheme_name, exc)) from None
+    return result
 
 
 def _simulate_in_worker(spec):

@@ -18,10 +18,9 @@ Three layers cooperate:
   (segment files + manifest index on disk — see
   :mod:`repro.harness.segments`) consulted before simulating and updated
   after, so repeated processes skip already-simulated cells.  Stored
-  cells are served lazily: identity and statistics come from the
-  manifest, and a cell's architectural snapshot is read from its
-  segment only if ``regs``/``memory``/``extra`` is touched — which no
-  experiment does, so a store-backed report reads no segment at all;
+  cells are served from the manifest (identity, ``halted``,
+  ``cycles`` and statistics — all any experiment reads), so a
+  store-backed report reads no segment at all;
 - :func:`~repro.harness.parallel.run_cells`, which
   :meth:`CampaignRunner.run_grid` uses to run the *uncached* cells of
   a grid serially or across a local process pool, streaming each
@@ -71,13 +70,14 @@ class CampaignRunner:
     def run(self, benchmark, config, scheme_name, **scheme_kwargs):
         """Result for one cell of the grid (cached, store-backed).
 
-        A stored cell comes back as the store's lazily-decoded result:
-        statistics from the manifest, the snapshot from its segment on
-        first touch.  A cell whose segment record is corrupt is still
-        served from the manifest — it is not resimulated — and touching
-        its snapshot raises
-        :class:`~repro.harness.segments.CorruptRecord` naming
-        ``python -m repro store verify``.
+        A stored cell comes back as the store's
+        :class:`~repro.harness.store.StoredResult`, served from the
+        manifest: identity, ``halted``, ``cycles`` and statistics, no
+        ``regs``/``memory`` (every simulated cell was checked against
+        the reference interpreter before it was stored).  A cell whose
+        segment record is corrupt is still served from the manifest —
+        it is not resimulated; ``python -m repro store verify`` reports
+        the record.
         """
         key = self.cell_key(benchmark, config, scheme_name, scheme_kwargs)
         cached = self._cache.get(key)
@@ -116,8 +116,8 @@ class CampaignRunner:
         ``(benchmark, config, scheme_name)`` in ``cells``;
         :func:`~repro.harness.experiments.run_experiment` makes this
         call with every cell an experiment declares, before running it.
-        Cached results are lazy, as in :meth:`run`: only manifest rows
-        are read here, never segments.  Returns the number of cells
+        As in :meth:`run`, only manifest rows are read here, never
+        segments.  Returns the number of cells
         newly cached; cells absent from the store are left for
         :meth:`run` to simulate.
         """

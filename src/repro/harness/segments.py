@@ -12,9 +12,12 @@ cooperating structures under the store root:
         +--------+-------------+------------+------------------------+
 
     The payload is the cell's envelope
-    (``{"key", "model_version", "meta", "result"}``), serialised as
-    canonical JSON (sorted keys, compact separators) and
-    zlib-compressed.  Records are the single source of truth: every
+    (``{"key", "model_version", "meta", "result"}``, where ``result``
+    holds identity, ``halted``, ``cycles`` and statistics, no
+    register or memory snapshot), serialised as canonical JSON (sorted
+    keys, compact separators) and zlib-compressed.  Records written by
+    older builds also carry ``regs``/``memory``/``extra``; readers
+    ignore those keys.  Records are the single source of truth: every
     manifest column below can be rebuilt from them.  A writer appends
     a record and flushes *before* indexing it, so a crash can only
     leave an unindexed orphan tail — never an indexed cell without
@@ -329,18 +332,6 @@ class Manifest:
                 chunk = keys[start:start + _IN_CHUNK]
                 db.execute("DELETE FROM cells WHERE key IN (%s)"
                            % ",".join("?" * len(chunk)), chunk)
-
-    def cells_in_segment(self, segment_id):
-        with self._lock:
-            return self._db().execute(
-                _SELECT_CELL + " WHERE c.segment=? ORDER BY c.offset",
-                (segment_id,)).fetchall()
-
-    def relocate_cell(self, key, segment_id, offset):
-        with self._lock:
-            self._db().execute(
-                "UPDATE cells SET segment=?, offset=? WHERE key=?",
-                (segment_id, offset, key))
 
     def relocate_cells(self, moves):
         """Batched relocation: ``moves`` is ``(segment_id, offset, key)``

@@ -25,12 +25,17 @@ On disk the store is **segment-backed** (format ``segments-v1``, see
         segments/seg-NNNNNN.seg   append-only record segments
         failures/*.json        CellFailure records (unchanged format)
 
-Results append as compressed records into segment files; the manifest
-maps every full 64-hex key to its record and carries the
-benchmark/config/scheme columns plus per-cell statistics, so
-``keys()``/``__len__`` are O(index) with zero file opens, bulk loads
-return lazily-decoded results, and analysis passes read statistics
-columnar — without decompressing a single snapshot.  Segments are the
+Results append as compressed records into segment files.  A record's
+envelope holds the cell's identity, ``halted``, ``cycles`` and
+statistics (:func:`result_record`) — what reports read, and nothing
+else: no architectural snapshot is stored, because
+:func:`~repro.harness.parallel.simulate_cell` checks every cell's
+registers and memory against the reference interpreter before it
+reaches the store.  The manifest maps every full 64-hex key to its
+record and carries the benchmark/config/scheme columns plus per-cell
+statistics, so ``keys()``/``__len__`` are O(index) with zero file
+opens and every read (``load_many``, ``iter_results``) is served as
+:class:`StoredResult` rows straight off the manifest.  Segments are the
 only format: stray ``*.json`` files in the store root are ignored.
 
 Failures are first-class: a cell the campaign could not complete
@@ -66,7 +71,6 @@ from repro.harness.segments import (
     pack_record,
     unpack_record,
 )
-from repro.pipeline.core import SimulationResult
 from repro.pipeline.stats import SimStats
 
 #: Stamp hashed into every key; results computed by a different model
@@ -85,11 +89,6 @@ _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 #: its deadline) stay accepted so records written by older builds
 #: still list.
 FAILURE_KINDS = ("poisoned", "deterministic", "timeout")
-
-#: Result fields that require decoding the stored snapshot payload;
-#: ``iter_results(fields=...)`` stays columnar only while the caller
-#: asks for none of these.
-SNAPSHOT_FIELDS = frozenset(("regs", "memory", "extra"))
 
 
 class CellFailure:
@@ -213,107 +212,51 @@ def _unpickle_stats(blob):
     return obj if isinstance(obj, SimStats) else None
 
 
-class _StoredResult(SimulationResult):
-    """A stored result whose heavy fields decode on first access.
+def result_record(result):
+    """The envelope ``result`` stored for one cell.
 
-    Identity (names, halted, cycles) and statistics come straight from
-    the manifest row; the architectural snapshot (``regs``/``memory``/
-    ``extra``) — the bulk of every payload — is only read and
-    decompressed from its segment when actually touched.  This is what
-    makes ``load_many`` over 10^4 cells an index scan instead of 10^4
-    decompress+parse round trips.
+    Identity, ``halted``, ``cycles`` and the full statistics — what
+    reports read.  Accepts a fresh
+    :class:`~repro.pipeline.core.SimulationResult` or a
+    :class:`StoredResult` alike.
     """
-
-    @classmethod
-    def _from_row(cls, store, row):
-        self = object.__new__(cls)
-        d = self.__dict__
-        d["program_name"] = row["benchmark"]
-        d["scheme_name"] = row["scheme"]
-        d["config_name"] = row["config"]
-        d["halted"] = bool(row["halted"])
-        d["cycles"] = row["result_cycles"] or 0
-        d["_key"] = row["key"]
-        d["_store"] = store
-        d["_stats_blob"] = row["stats"]
-        d["_segment_name"] = row["segment_name"]
-        d["_offset"] = row["offset"]
-        d["_length"] = row["length"]
-        return self
-
-    def _materialise(self):
-        env = self._store._read_cell(
-            self.__dict__["_key"], self.__dict__["_segment_name"],
-            self.__dict__["_offset"], self.__dict__["_length"])
-        data = env["result"]
-        d = self.__dict__
-        d.setdefault("_stats", SimStats.from_dict(data["stats"]))
-        d["_regs"] = list(data["regs"])
-        d["_memory"] = {int(addr): value
-                        for addr, value in data["memory"].items()}
-        d["_extra"] = dict(data.get("extra", {}))
-
-    @property
-    def stats(self):
-        d = self.__dict__
-        if "_stats" not in d:
-            cached = _unpickle_stats(d.get("_stats_blob"))
-            if cached is not None:
-                d["_stats"] = cached
-            else:
-                self._materialise()
-        return d["_stats"]
-
-    @stats.setter
-    def stats(self, value):
-        self.__dict__["_stats"] = value
-
-    @property
-    def regs(self):
-        if "_regs" not in self.__dict__:
-            self._materialise()
-        return self.__dict__["_regs"]
-
-    @regs.setter
-    def regs(self, value):
-        self.__dict__["_regs"] = value
-
-    @property
-    def memory(self):
-        if "_memory" not in self.__dict__:
-            self._materialise()
-        return self.__dict__["_memory"]
-
-    @memory.setter
-    def memory(self, value):
-        self.__dict__["_memory"] = value
-
-    @property
-    def extra(self):
-        if "_extra" not in self.__dict__:
-            self._materialise()
-        return self.__dict__["_extra"]
-
-    @extra.setter
-    def extra(self, value):
-        self.__dict__["_extra"] = value
+    return {
+        "program_name": result.program_name,
+        "scheme_name": result.scheme_name,
+        "config_name": result.config_name,
+        "halted": result.halted,
+        "cycles": result.cycles,
+        "stats": result.stats.to_dict(),
+    }
 
 
-class ResultView:
-    """Columnar row from ``iter_results(fields=...)``.
+def _check_result_record(data):
+    """Raise unless ``data`` is a well-formed envelope ``result``.
 
-    Quacks like a :class:`SimulationResult` for every statistics-level
-    consumer (``key``, identity names, ``halted``, ``cycles``,
-    ``stats``, ``ipc``) without ever opening a segment file — stats
-    decode from the manifest blob, falling back to the authoritative
-    payload only if the blob is unusable.
+    Keys beyond :func:`result_record`'s — the ``regs``/``memory``/
+    ``extra`` snapshot older writers stored — are ignored.
+    """
+    for name in ("program_name", "scheme_name", "config_name"):
+        if not isinstance(data[name], str):
+            raise TypeError("result %s is not a string" % name)
+    SimStats.from_dict(data["stats"])
+
+
+class StoredResult:
+    """One stored cell, served from its manifest row.
+
+    Quacks like a :class:`~repro.pipeline.core.SimulationResult` for
+    every statistics-level consumer (``key``, identity names,
+    ``halted``, ``cycles``, ``stats``, ``ipc``) without opening a
+    segment file: ``stats`` decodes from the row's pickled blob on
+    first access, falling back to the authoritative segment record only
+    if the blob is unusable.
     """
 
     __slots__ = ("key", "program_name", "config_name", "scheme_name",
-                 "halted", "cycles", "_store", "_blob", "_stats",
-                 "_segment_name", "_offset", "_length")
+                 "halted", "cycles", "_store", "_row", "_stats")
 
-    def __init__(self, store, row):
+    def __init__(self, store, row, stats=None):
         self.key = row["key"]
         self.program_name = row["benchmark"]
         self.config_name = row["config"]
@@ -321,22 +264,21 @@ class ResultView:
         self.halted = bool(row["halted"])
         self.cycles = row["result_cycles"] or 0
         self._store = store
-        self._blob = row["stats"]
-        self._stats = None
-        self._segment_name = row["segment_name"]
-        self._offset = row["offset"]
-        self._length = row["length"]
+        self._row = row
+        self._stats = stats
 
     @property
     def stats(self):
         if self._stats is None:
-            stats = _unpickle_stats(self._blob)
+            row = self._row
+            stats = _unpickle_stats(row["stats"])
             if stats is None:
                 env = self._store._read_cell(
-                    self.key, self._segment_name, self._offset, self._length)
+                    self.key, row["segment_name"], row["offset"],
+                    row["length"])
                 stats = SimStats.from_dict(env["result"]["stats"])
             self._stats = stats
-            self._blob = None
+            self._row = None
         return self._stats
 
     @property
@@ -344,30 +286,14 @@ class ResultView:
         return self.stats.ipc
 
 
-#: ``load_columns`` fields answered straight from manifest columns —
-#: no blob, no segment read.
-_SQL_COLUMNS = {
-    "benchmark": lambda row: row["benchmark"],
-    "config": lambda row: row["config"],
-    "scheme": lambda row: row["scheme"],
-    "model_version": lambda row: row["model_version"],
-    "halted": lambda row: bool(row["halted"]),
-    "cycles": lambda row: row["cycles"],
-    "committed_instructions": lambda row: row["committed"],
-    "ipc": lambda row: ((row["committed"] or 0) / row["cycles"]
-                        if row["cycles"] else 0.0),
-}
-
-
 class ResultStore:
     """Segment-backed result store rooted at one directory.
 
     Surface: ``save``/``load``/``load_many``/``iter_results``/
     ``keys``/``verify``/``gc``/``clear``, the failure-record API, and
-    ``in``/``len``; the columnar reads (``iter_results`` with
-    ``fields=``, :meth:`load_columns`); the maintenance verbs
-    (:meth:`compact`, :meth:`stats`); and :meth:`load_envelope` for
-    format-level tooling.
+    ``in``/``len``; the maintenance verbs (:meth:`compact`,
+    :meth:`stats`); and :meth:`load_envelope` for format-level tooling.
+    Every read returns :class:`StoredResult` rows.
 
     Concurrency: any number of reader instances (threads or processes)
     may overlap any number of writers — readers always consult the
@@ -507,7 +433,7 @@ class ResultStore:
 
         Retries through a fresh manifest lookup when the locator went
         stale (the record was relocated by a concurrent ``compact``),
-        so lazily-decoded results survive store maintenance.  A record
+        so manifest-served results survive store maintenance.  A record
         that is still unreadable or foreign after the retry raises
         :class:`CorruptRecord` naming ``python -m repro store verify``.
         """
@@ -551,161 +477,79 @@ class ResultStore:
 
     # -- bulk reads -------------------------------------------------------
 
-    def iter_results(self, fields=None):
-        """Yield every stored result (analysis bulk read).
-
-        With ``fields=None`` every yield is a fully-decoded
-        :class:`SimulationResult`, exactly as before.  Passing the
-        fields the caller will actually touch (e.g.
-        ``fields=("stats",)``) switches to the columnar path:
-        :class:`ResultView` rows served from the manifest alone, no
-        segment I/O or payload decompression.  Any requested field in
-        :data:`SNAPSHOT_FIELDS` forces the full path.  Corrupt or
-        foreign cells are skipped silently — use :meth:`verify` to
-        surface them.
-        """
+    def iter_results(self):
+        """Yield every stored cell as a :class:`StoredResult` (analysis
+        bulk read), straight off the manifest: no segment I/O."""
         manifest = self._manifest_if_exists()
         if manifest is None:
             return
-        if fields is not None and not (set(fields) & SNAPSHOT_FIELDS):
-            for row in manifest.iter_cells(with_stats=True):
-                yield ResultView(self, row)
-            return
-        for _row, env in self._iter_segment_envelopes():
-            try:
-                yield SimulationResult.from_dict(env["result"])
-            except (ValueError, KeyError, TypeError):
-                continue
-
-    def _iter_segment_envelopes(self, with_stats=False):
-        """Yield ``(row, envelope)`` streaming each segment once, in
-        record order; undecodable records are skipped."""
-        current_name, handle = None, None
-        try:
-            for row in self._manifest_rw().iter_cells(with_stats=with_stats):
-                if row["segment_name"] != current_name:
-                    if handle is not None:
-                        handle.close()
-                    current_name, handle = row["segment_name"], None
-                    try:
-                        handle = open(self.segments_dir / current_name, "rb")
-                    except OSError:
-                        continue
-                if handle is None:
-                    continue
-                try:
-                    handle.seek(row["offset"])
-                    record = handle.read(row["length"])
-                    yield row, decode_envelope(unpack_record(record))
-                except (OSError, CorruptRecord, ValueError):
-                    continue
-        finally:
-            if handle is not None:
-                handle.close()
+        for row in manifest.iter_cells(with_stats=True):
+            yield StoredResult(self, row)
 
     def load_many(self, keys):
-        """Bulk read: ``{key: SimulationResult}`` for every hit.
+        """Bulk read: ``{key: StoredResult}`` for every hit.
 
-        Segment-backed hits come back as lazily-decoded results: the
-        identity and statistics are served from the manifest, and the
-        architectural snapshot decompresses from its segment only when
-        touched.  Missing, corrupt, or key-mismatched cells are simply
-        absent from the returned dict (callers treat absence as "needs
+        Served from the manifest alone — identity, ``halted``,
+        ``cycles`` and statistics — so even a cell whose segment record
+        is damaged still serves.  Missing cells are simply absent from
+        the returned dict (callers treat absence as "needs
         simulating").
         """
         manifest = self._manifest_if_exists()
         if manifest is None:
             return {}
         rows = manifest.cells_for(list(dict.fromkeys(keys)))
-        return {key: _StoredResult._from_row(self, row)
-                for key, row in rows.items()}
-
-    def load_columns(self, keys, fields):
-        """Columnar point reads: ``{key: {field: value}}``.
-
-        Identity fields and the hot counters (``benchmark``,
-        ``config``, ``scheme``, ``model_version``, ``halted``,
-        ``cycles``, ``committed_instructions``, ``ipc``) are answered
-        straight from manifest columns.  Any other field selects from
-        the flattened :meth:`SimStats.as_dict` namespace (e.g.
-        ``stall_iq_full``, ``extra.cycacct.width``) and may use
-        ``fnmatch`` wildcards (``extra.cycacct.*``); those decode the
-        per-cell stats blob — still no segment I/O.  Keys without a
-        stored cell are absent from the result.
-        """
-        import fnmatch
-
-        fields = list(fields)
-        stat_fields = [f for f in fields if f not in _SQL_COLUMNS]
-        wild = [f for f in stat_fields if any(c in f for c in "*?[")]
-        out = {}
-        manifest = self._manifest_if_exists()
-        if manifest is None:
-            return out
-        for key, row in manifest.cells_for(list(dict.fromkeys(keys))).items():
-            record = {}
-            for field in fields:
-                if field in _SQL_COLUMNS:
-                    record[field] = _SQL_COLUMNS[field](row)
-            if stat_fields:
-                stats = _unpickle_stats(row["stats"])
-                if stats is None:
-                    try:
-                        env = self._read_cell(key, row["segment_name"],
-                                              row["offset"], row["length"])
-                        stats = SimStats.from_dict(env["result"]["stats"])
-                    except (KeyError, CorruptRecord, OSError, ValueError,
-                            TypeError):
-                        stats = None
-                if stats is not None:
-                    stats_dict = stats.as_dict()
-                    for field in stat_fields:
-                        if field in wild:
-                            for name in fnmatch.filter(stats_dict, field):
-                                record[name] = stats_dict[name]
-                        elif field in stats_dict:
-                            record[field] = stats_dict[field]
-            out[key] = record
-        return out
+        return {key: StoredResult(self, row) for key, row in rows.items()}
 
     # -- round-tripping ---------------------------------------------------
 
-    def load(self, key):
-        """Return the stored :class:`SimulationResult`, or ``None``."""
-        env = self.load_envelope(key)
-        if env is None:
-            return None
-        try:
-            return SimulationResult.from_dict(env["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
-
-    def load_envelope(self, key):
-        """The raw stored envelope (``{"key", "model_version", "meta",
-        "result"}``) for ``key``, or ``None`` — format-level access for
-        tooling and chaos equivalence checks."""
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        if row is None:
-            return None
+    def _envelope(self, row):
+        """``row``'s envelope, or ``None`` when its record is unreadable
+        or holds another key."""
         try:
             env = self._read_at(row["segment_name"], row["offset"],
                                 row["length"])
         except (OSError, CorruptRecord, ValueError):
             return None
-        return env if env.get("key") == key else None
+        return env if env.get("key") == row["key"] else None
+
+    def load(self, key):
+        """The stored :class:`StoredResult`, or ``None``.
+
+        The checked point read: unlike :meth:`load_many` it decodes the
+        cell's segment record and serves its statistics from there, so
+        a missing, corrupt or malformed record reads as absent.
+        """
+        manifest = self._manifest_if_exists()
+        row = manifest.cell(key) if manifest is not None else None
+        env = self._envelope(row) if row is not None else None
+        if env is None:
+            return None
+        try:
+            stats = SimStats.from_dict(env["result"]["stats"])
+        except (KeyError, TypeError, ValueError):
+            return None
+        return StoredResult(self, row, stats)
+
+    def load_envelope(self, key):
+        """The raw stored envelope (``{"key", "model_version", "meta",
+        "result"}``) for ``key``, or ``None`` — format-level access for
+        tooling and store equivalence checks."""
+        manifest = self._manifest_if_exists()
+        row = manifest.cell(key) if manifest is not None else None
+        return self._envelope(row) if row is not None else None
 
     def save(self, key, result, meta=None):
         """Persist one result; returns the segment path it landed in.
 
-        Appends a record to this instance's segment and indexes it in
-        the manifest.
+        Appends a record holding :func:`result_record` to this
+        instance's segment and indexes it in the manifest.
         """
         envelope = {
             "key": key,
             "model_version": MODEL_VERSION,
             "meta": dict(meta or {}),
-            "result": result.to_dict(),
+            "result": result_record(result),
         }
         return self._append_envelope(envelope, stats=result.stats)
 
@@ -811,12 +655,12 @@ class ResultStore:
     def verify(self):
         """Integrity sweep: quarantine corrupt cells, drop stale ones.
 
-        Every record is re-read and validated (frame +
-        CRC + JSON + key match + :meth:`SimulationResult.from_dict`
-        round-trip).  A segment holding any corrupt record has its
-        healthy records salvaged into a fresh segment, then the whole
-        file is set aside with a ``.corrupt`` suffix — out of the
-        index, preserved for post-mortem.  Cells whose
+        Every record is re-read and validated (frame + CRC + JSON + key
+        match + identity names + :meth:`SimStats.from_dict`).  A segment
+        holding any corrupt record has its healthy records salvaged
+        into a fresh segment, then the whole file is set aside with a
+        ``.corrupt`` suffix — out of the index, preserved for
+        post-mortem.  Cells whose
         ``model_version`` stamp differs from the running
         :data:`MODEL_VERSION` are *stale*: unreachable anyway (their
         keys can never be recomputed), their index rows are dropped and
@@ -831,9 +675,13 @@ class ResultStore:
                 self._verify_segments(manifest, summary)
         return summary
 
-    def _verify_segments(self, manifest, summary):
-        verdicts = {}  # segment_id -> [(key, verdict)]
-        names = {}
+    def _walk_records(self, manifest):
+        """Yield ``(row, record)`` for every indexed cell in (segment,
+        offset) order, opening each segment once.
+
+        ``record`` is the framed bytes as stored — not yet validated —
+        or ``None`` when its segment cannot be opened or read.
+        """
         current_name, handle = None, None
         try:
             for row in manifest.iter_cells(with_stats=False):
@@ -845,30 +693,39 @@ class ResultStore:
                         handle = open(self.segments_dir / current_name, "rb")
                     except OSError:
                         pass
-                names[row["segment"]] = row["segment_name"]
-                summary["scanned"] += 1
-                verdict = "corrupt"
+                record = None
                 if handle is not None:
                     try:
                         handle.seek(row["offset"])
-                        env = decode_envelope(
-                            unpack_record(handle.read(row["length"])))
-                        key = env["key"]
-                        if (isinstance(key, str) and len(key) == 64
-                                and key == row["key"]):
-                            SimulationResult.from_dict(env["result"])
-                            verdict = (
-                                "kept" if env.get("model_version")
-                                == MODEL_VERSION else "stale")
-                    except (OSError, CorruptRecord, ValueError, KeyError,
-                            TypeError):
-                        verdict = "corrupt"
-                summary[verdict] += 1
-                verdicts.setdefault(row["segment"], []).append(
-                    (row["key"], verdict))
+                        record = handle.read(row["length"])
+                    except OSError:
+                        pass
+                yield row, record
         finally:
             if handle is not None:
                 handle.close()
+
+    def _verify_segments(self, manifest, summary):
+        verdicts = {}  # segment_id -> [(key, verdict)]
+        names = {}
+        for row, record in self._walk_records(manifest):
+            names[row["segment"]] = row["segment_name"]
+            summary["scanned"] += 1
+            verdict = "corrupt"
+            if record is not None:
+                try:
+                    env = decode_envelope(unpack_record(record))
+                    key = env["key"]
+                    if (isinstance(key, str) and len(key) == 64
+                            and key == row["key"]):
+                        _check_result_record(env["result"])
+                        verdict = ("kept" if env.get("model_version")
+                                   == MODEL_VERSION else "stale")
+                except (CorruptRecord, ValueError, KeyError, TypeError):
+                    verdict = "corrupt"
+            summary[verdict] += 1
+            verdicts.setdefault(row["segment"], []).append(
+                (row["key"], verdict))
 
         stale_keys = [key for cells in verdicts.values()
                       for key, verdict in cells if verdict == "stale"]
@@ -972,27 +829,12 @@ class ResultStore:
             dropped = []
             writer = None  # {"id","path","handle","offset"}
             new_ids = set()
-            current_name, handle = None, None
             try:
-                for row in manifest.iter_cells(with_stats=False):
-                    if row["segment_name"] != current_name:
-                        if handle is not None:
-                            handle.close()
-                        current_name, handle = row["segment_name"], None
-                        try:
-                            handle = open(
-                                self.segments_dir / current_name, "rb")
-                        except OSError:
-                            pass
-                    record = b""
-                    if handle is not None:
-                        try:
-                            handle.seek(row["offset"])
-                            record = handle.read(row["length"])
-                            unpack_record(record)
-                        except (OSError, CorruptRecord):
-                            record = b""
-                    if not record:
+                for row, record in self._walk_records(manifest):
+                    try:
+                        # An unreadable record (None) fails as too short.
+                        unpack_record(record or b"")
+                    except CorruptRecord:
                         dropped.append(row["key"])
                         continue
                     if writer is not None and writer["offset"] > 0 and \
@@ -1012,8 +854,6 @@ class ResultStore:
                     writer["offset"] += len(record)
                     summary["cells"] += 1
             finally:
-                if handle is not None:
-                    handle.close()
                 if writer is not None:
                     writer["handle"].flush()
                     writer["handle"].close()

@@ -1,8 +1,8 @@
 """Synthetic-but-realistic campaign cells for store-scale checks.
 
-Each cell has the shape real campaign results have — a full register
-file, a few hundred memory words and ~40 cycle-accounting extras — and
-is deterministic in its index, so ``scripts/store_scale_smoke.py`` and
+Each cell has the shape the store keeps of a real campaign result —
+identity, ``halted``, ``cycles`` and statistics with ~40
+cycle-accounting extras — and is deterministic in its index, so ``scripts/store_scale_smoke.py`` and
 the segment-store tests can build large stores without simulating.
 """
 
@@ -53,12 +53,10 @@ def synthetic_result(index):
         fetched_instructions=committed + (index % 500),
         extra=extra,
     )
-    regs = [(index * 2654435761 + r * 40503) % (1 << 32) for r in range(32)]
-    memory = {4096 + 8 * j: (index ^ (j * 2246822519)) % (1 << 32)
-              for j in range(192)}
+    # The store keeps no architectural snapshot, so none is made up.
     return SimulationResult(
         program_name=_BENCHMARKS[index % len(_BENCHMARKS)],
         scheme_name=_SCHEMES[index % len(_SCHEMES)],
         config_name=_CONFIGS[index % len(_CONFIGS)],
-        stats=stats, regs=regs, memory=memory, halted=True, cycles=cycles,
+        stats=stats, regs=[0] * 32, memory={}, halted=True, cycles=cycles,
     )

@@ -36,6 +36,15 @@ entry instead of a boxed ``int`` each.
     exists for trace consumers (analysis tooling, future schedulers)
     that want a microarchitecture-independent locality signal.
 
+Beside the per-step columns, a trace keeps the reference run's final
+architectural state — the oracle every simulated cell is checked
+against (see :meth:`DynamicTrace.check_final_state`):
+
+``final_regs`` — ``array('q')``
+    the 32 architectural registers at halt;
+``final_addrs`` / ``final_values`` — ``array('Q')`` / ``array('q')``
+    every non-zero memory word at halt, in ascending address order.
+
 Indexing a column yields a plain ``int`` either way, so consumers are
 layout-agnostic; constructing a :class:`DynamicTrace` from list-backed
 columns still works (they are coerced to the typed layout).
@@ -60,9 +69,9 @@ stretches complete as one kernel step — is documented in the core's
 module docstring.
 
 Traces are content-addressed and disk-persisted next to generated
-programs; see :mod:`repro.workloads.program_cache`.  The format bump to
-``trace-v2`` participates in the cache key, so every ``trace-v1`` file
-on disk is simply ignored and re-recorded.
+programs; see :mod:`repro.workloads.program_cache`.  The format version
+participates in the cache key, so every file of an older format on
+disk is simply ignored and re-recorded.
 """
 
 import base64
@@ -72,6 +81,7 @@ from array import array
 
 from repro.isa.instructions import Opcode
 from repro.isa.interp import ReferenceInterpreter, branch_taken, to_unsigned64
+from repro.isa.registers import NUM_ARCH_REGS
 from repro.memsys.hierarchy import MemConfig, MemoryHierarchy
 
 #: Bumped whenever the recorded column semantics *or storage format*
@@ -79,7 +89,8 @@ from repro.memsys.hierarchy import MemConfig, MemoryHierarchy
 #: workloads.program_cache.trace_key) so stale on-disk traces can never
 #: be replayed by a newer pipeline.  trace-v2: typed-array columns,
 #: base64-over-raw-buffer payloads, little-endian canonical form.
-TRACE_FORMAT_VERSION = "trace-v2"
+#: trace-v3: the reference run's final registers and non-zero memory.
+TRACE_FORMAT_VERSION = "trace-v3"
 
 #: Canonical byte order of serialised word columns.
 _PAYLOAD_ENDIAN = "little"
@@ -146,10 +157,12 @@ class DynamicTrace:
 
     __slots__ = ("program_name", "program_len", "entry",
                  "pcs", "next_pcs", "results", "addrs", "taken", "l1_hit",
+                 "final_regs", "final_addrs", "final_values",
                  "_replay_view")
 
     def __init__(self, program_name, program_len, entry,
-                 pcs, next_pcs, results, addrs, taken, l1_hit):
+                 pcs, next_pcs, results, addrs, taken, l1_hit,
+                 final_regs=(), final_addrs=(), final_values=()):
         self.program_name = program_name
         self.program_len = program_len
         self.entry = entry
@@ -159,6 +172,9 @@ class DynamicTrace:
         self.addrs = _as_column(addrs, "Q")
         self.taken = _as_flags(taken)
         self.l1_hit = _as_flags(l1_hit)
+        self.final_regs = _as_column(final_regs, "q")
+        self.final_addrs = _as_column(final_addrs, "Q")
+        self.final_values = _as_column(final_values, "q")
         self._replay_view = None
 
     def __len__(self):
@@ -183,6 +199,24 @@ class DynamicTrace:
                                         list(self.results),
                                         list(self.addrs))
         return view
+
+    def check_final_state(self, regs, memory):
+        """Raise ``ValueError`` unless ``regs`` and the non-zero words of
+        ``memory`` equal the reference run's final state.
+
+        ``regs``/``memory`` are a
+        :class:`~repro.pipeline.core.SimulationResult`'s list and dict.
+        Memory matches when it holds as many non-zero words as the
+        reference and every reference word looks up equal; no dict is
+        built, per call or kept per trace.
+        """
+        if regs != self.final_regs.tolist():
+            raise ValueError("final registers differ from the reference")
+        if (len(memory) - list(memory.values()).count(0)
+                != len(self.final_addrs)
+                or list(map(memory.get, self.final_addrs))
+                != self.final_values.tolist()):
+            raise ValueError("final memory differs from the reference")
 
     def check_program(self, program):
         """Light sanity check that ``program`` is the recorded one.
@@ -225,6 +259,9 @@ class DynamicTrace:
             "addrs": _encode_words(self.addrs),
             "taken": base64.b64encode(self.taken).decode("ascii"),
             "l1_hit": base64.b64encode(self.l1_hit).decode("ascii"),
+            "final_regs": _encode_words(self.final_regs),
+            "final_addrs": _encode_words(self.final_addrs),
+            "final_values": _encode_words(self.final_values),
         }
 
     @classmethod
@@ -261,12 +298,21 @@ class DynamicTrace:
             addrs=_decode_words(payload["addrs"], "Q", "addrs"),
             taken=taken,
             l1_hit=l1_hit,
+            final_regs=_decode_words(payload["final_regs"], "q",
+                                     "final_regs"),
+            final_addrs=_decode_words(payload["final_addrs"], "Q",
+                                      "final_addrs"),
+            final_values=_decode_words(payload["final_values"], "q",
+                                       "final_values"),
         )
         n = len(trace.pcs)
         if not all(len(col) == n for col in (
                 trace.next_pcs, trace.results, trace.addrs,
                 trace.taken, trace.l1_hit)):
             raise ValueError("trace columns have inconsistent lengths")
+        if len(trace.final_addrs) != len(trace.final_values):
+            raise ValueError("trace final-memory columns have inconsistent"
+                             " lengths")
         return trace
 
 
@@ -287,6 +333,9 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
     load against a ``mem_config`` (default geometry) hierarchy accessed
     in commit order — stores access it too (write, no prefetcher
     training), mirroring the pipeline's commit-time accesses.
+
+    The run's final registers and non-zero memory become the trace's
+    final state, the reference every simulated cell is checked against.
 
     The columns are recorded straight into preallocated typed buffers
     (grown in :data:`_RECORD_CHUNK` steps, trimmed once at the end), so
@@ -352,6 +401,8 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
         next_pcs[steps] = state.pc
         steps += 1
 
+    final_addrs = sorted(addr for addr, value in state.memory.items()
+                         if value)
     return DynamicTrace(
         program_name=program.name,
         program_len=len(program),
@@ -362,4 +413,7 @@ def record_trace(program, mem_config=None, max_steps=5_000_000):
         addrs=addrs[:steps],
         taken=bytes(taken[:steps]),
         l1_hit=bytes(l1_hit[:steps]),
+        final_regs=[read_reg(reg) for reg in range(NUM_ARCH_REGS)],
+        final_addrs=final_addrs,
+        final_values=[state.memory[addr] for addr in final_addrs],
     )

@@ -153,7 +153,7 @@ error paths fire at the same cycle they would when stepping.
 """
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from operator import itemgetter
 
@@ -207,7 +207,6 @@ class SimulationResult:
     memory: dict
     halted: bool
     cycles: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def ipc(self):
@@ -228,7 +227,6 @@ class SimulationResult:
             "memory": {str(addr): value for addr, value in self.memory.items()},
             "halted": self.halted,
             "cycles": self.cycles,
-            "extra": dict(self.extra),
         }
 
     @classmethod
@@ -243,7 +241,6 @@ class SimulationResult:
             memory={int(addr): value for addr, value in data["memory"].items()},
             halted=data["halted"],
             cycles=data.get("cycles", 0),
-            extra=dict(data.get("extra", {})),
         )
 
 

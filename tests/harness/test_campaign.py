@@ -4,6 +4,7 @@ cell failures and resume, progress reporting."""
 import io
 import json
 import os
+from array import array
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -12,9 +13,10 @@ import repro.harness.parallel as parallel
 from repro.harness.parallel import run_cells
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner, shared_runner
-from repro.harness.store import ResultStore, simulation_key
+from repro.harness.store import ResultStore, result_record, simulation_key
 from repro.pipeline.config import CoreConfig, MEDIUM, MEGA, SMALL
 from repro.pipeline.stats import SimStats
+from repro.workloads.program_cache import cached_spec_trace
 
 BENCH = "503.bwaves"
 SUBSET = ("503.bwaves", "548.exchange2")
@@ -121,9 +123,8 @@ def test_store_round_trip(tmp_path):
     assert loaded.config_name == result.config_name
     assert loaded.halted == result.halted
     assert loaded.cycles == result.cycles
-    assert loaded.regs == result.regs
-    assert loaded.memory == result.memory
     assert loaded.stats.to_dict() == result.stats.to_dict()
+    assert result_record(loaded) == result_record(result)
 
 
 def test_store_missing_and_clear(tmp_path):
@@ -471,6 +472,40 @@ def test_raising_pool_cell_is_recorded_and_rerun_resumes(tmp_path,
     assert summary["failed"] == 0
     assert ResultStore(root).failures() == []
     assert store_bytes(root) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("field", ["registers", "memory"])
+def test_cell_differing_from_reference_is_recorded(tmp_path, monkeypatch,
+                                                   field, jobs):
+    # Falsify the reference's final state of one benchmark before the
+    # pool forks: both of its cells now disagree with the reference.
+    trace = cached_spec_trace(POISON[0], scale=SCALE, seed=2017)
+    column = "final_regs" if field == "registers" else "final_values"
+    wrong = array("q", getattr(trace, column))
+    wrong[5] += 1
+    monkeypatch.setattr(trace, column, wrong)
+    runner, summary = campaign(tmp_path, jobs=jobs)
+    assert summary["failed"] == 2 and summary["simulated"] == 2
+    failures = ResultStore(tmp_path).failures()
+    assert {(f.benchmark, f.scheme_name) for f in failures} == {
+        (POISON[0], scheme) for scheme in SCHEMES}
+    for failure in failures:
+        assert failure.kind == "deterministic"
+        assert "final %s differ" % field in failure.error
+    stored = {runner.cell_key(SUBSET[0], SMALL, scheme)
+              for scheme in SCHEMES}
+    assert set(ResultStore(tmp_path).keys()) == stored
+
+
+def test_campaign_records_hold_no_snapshot(tmp_path):
+    _runner, summary = campaign(tmp_path, jobs=1)
+    assert summary["simulated"] == 4
+    store = ResultStore(tmp_path)
+    for key in store.keys():
+        assert set(store.load_envelope(key)["result"]) == {
+            "program_name", "scheme_name", "config_name", "halted",
+            "cycles", "stats"}
 
 
 def test_dying_pool_worker_aborts_and_rerun_resumes(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ from repro.harness.experiments import (
     run_experiment,
 )
 from repro.harness.runner import CampaignRunner
-from repro.harness.segments import SEGMENT_DIR, SEGMENT_SUFFIX, CorruptRecord
+from repro.harness.segments import SEGMENT_DIR, SEGMENT_SUFFIX
 from repro.harness.store import ResultStore
 from repro.pipeline.config import SMALL, named_configs
 
@@ -96,7 +96,7 @@ def test_needed_cells_dedups_and_follows_runner_selection():
     assert needed_cells(("exchange2",), bwaves_only) == []
 
 
-def test_corrupt_segment_served_from_manifest_and_named_on_touch(
+def test_corrupt_segment_served_from_manifest_and_named_by_verify(
         tmp_path, monkeypatch):
     bench = BENCHMARKS[0]
     writer = CampaignRunner(scale=SCALE, benchmarks=(bench,),
@@ -118,7 +118,7 @@ def test_corrupt_segment_served_from_manifest_and_named_on_touch(
     # Statistics come from the manifest, so the report path still works.
     assert result.stats.to_dict() == expected.stats.to_dict()
     assert result.cycles == expected.cycles
-    # The snapshot lives only in the damaged record: touching it names
-    # the repair command instead of returning wrong data.
-    with pytest.raises(CorruptRecord, match="python -m repro store verify"):
-        result.regs
+    reader.store.close()
+    # The damaged record is found by the integrity sweep.
+    assert ResultStore(tmp_path).verify() == {
+        "scanned": 1, "kept": 0, "corrupt": 1, "stale": 0}

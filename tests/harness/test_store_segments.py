@@ -20,7 +20,7 @@ from repro.harness.segments import (
     SEGMENT_DIR,
     SEGMENT_SUFFIX,
 )
-from repro.harness.store import MODEL_VERSION, ResultStore
+from repro.harness.store import MODEL_VERSION, ResultStore, result_record
 from repro.harness.storebench import synthetic_key, synthetic_result
 
 
@@ -53,8 +53,10 @@ def test_digest_prefix_collisions_are_not_ambiguous(tmp_path):
     store.save(key_b, synthetic_result(2))
     assert len(store) == 2
     assert sorted(store.keys()) == sorted([key_a, key_b])
-    assert store.load(key_a).to_dict() == synthetic_result(1).to_dict()
-    assert store.load(key_b).to_dict() == synthetic_result(2).to_dict()
+    assert (result_record(store.load(key_a))
+            == result_record(synthetic_result(1)))
+    assert (result_record(store.load(key_b))
+            == result_record(synthetic_result(2)))
     loaded = store.load_many([key_a, key_b])
     assert loaded[key_a].stats.cycles == synthetic_result(1).stats.cycles
     assert loaded[key_b].stats.cycles == synthetic_result(2).stats.cycles
@@ -76,36 +78,13 @@ def test_save_load_round_trip_bit_identical(tmp_path):
     result = synthetic_result(7)
     key = synthetic_key(7)
     store.save(key, result, {"benchmark": result.program_name})
-    assert store.load(key).to_dict() == result.to_dict()
-    # Lazy bulk loads decode to the identical dict, and the columnar
-    # view agrees with the full result on every statistic.
-    assert store.load_many([key])[key].to_dict() == result.to_dict()
-    (view,) = store.iter_results(fields=("stats",))
-    assert view.stats.to_dict() == result.stats.to_dict()
-    assert view.scheme_name == result.scheme_name
-    (full,) = store.iter_results()
-    assert full.to_dict() == result.to_dict()
-
-
-def test_load_columns_serves_sql_and_stat_fields(tmp_path):
-    keys = populate(tmp_path, 6)
-    store = ResultStore(tmp_path)
-    columns = store.load_columns(
-        keys, ["scheme", "benchmark", "cycles", "ipc",
-               "committed_instructions", "stall_iq_full",
-               "extra.cycacct.width"])
-    assert set(columns) == set(keys)
-    for index, key in enumerate(keys):
-        expected = synthetic_result(index)
-        record = columns[key]
-        assert record["scheme"] == expected.scheme_name
-        assert record["benchmark"] == expected.program_name
-        assert record["cycles"] == expected.stats.cycles
-        assert record["ipc"] == pytest.approx(expected.stats.ipc)
-        assert record["stall_iq_full"] == expected.stats.stall_iq_full
-        assert record["extra.cycacct.width"] == 4
-    # Unknown keys are absent, not errors.
-    assert store.load_columns(["9" * 64], ["scheme"]) == {}
+    # Every read serves the fields the store keeps, bit for bit: the
+    # checked point read, the bulk read and the full scan alike.
+    assert result_record(store.load(key)) == result_record(result)
+    assert result_record(store.load_many([key])[key]) == result_record(result)
+    (row,) = store.iter_results()
+    assert result_record(row) == result_record(result)
+    assert row.key == key and row.ipc == result.ipc
 
 
 # ----------------------------------------------------------------------
@@ -154,7 +133,8 @@ def test_concurrent_writer_and_reader(tmp_path):
     loaded = final.load_many(keys)
     assert len(loaded) == count
     for index, key in enumerate(keys):
-        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+        assert (result_record(loaded[key])
+                == result_record(synthetic_result(index)))
 
 
 def test_external_writer_instance_is_visible_immediately(tmp_path):
@@ -186,7 +166,8 @@ def test_torn_tail_append_is_invisible_and_reclaimed(tmp_path):
     store = ResultStore(tmp_path)
     assert len(store) == 5
     for index, key in enumerate(keys):
-        assert store.load(key).to_dict() == synthetic_result(index).to_dict()
+        assert (result_record(store.load(key))
+                == result_record(synthetic_result(index)))
     assert store.verify() == {"scanned": 5, "kept": 5, "corrupt": 0,
                               "stale": 0}
     # New writers never append to an existing segment, so the torn
@@ -198,7 +179,8 @@ def test_torn_tail_append_is_invisible_and_reclaimed(tmp_path):
     assert summary["bytes_after"] == summary["bytes_before"] - torn
     final = ResultStore(tmp_path)
     assert len(final) == 6
-    assert final.load(keys[3]).to_dict() == synthetic_result(3).to_dict()
+    assert (result_record(final.load(keys[3]))
+            == result_record(synthetic_result(3)))
 
 
 def test_verify_quarantines_corrupt_segment_and_salvages_rest(tmp_path):
@@ -220,8 +202,8 @@ def test_verify_quarantines_corrupt_segment_and_salvages_rest(tmp_path):
     assert segment.with_name(segment.name + ".corrupt").exists()
     assert len(store) == 3
     for index in (1, 2, 3):
-        assert (store.load(keys[index]).to_dict()
-                == synthetic_result(index).to_dict())
+        assert (result_record(store.load(keys[index]))
+                == result_record(synthetic_result(index)))
     # A second sweep is clean.
     assert store.verify() == {"scanned": 3, "kept": 3, "corrupt": 0,
                               "stale": 0}
@@ -241,6 +223,26 @@ def test_verify_drops_stale_model_versions(tmp_path):
     assert store.load(synthetic_key(1)) is not None
 
 
+def test_snapshot_records_of_older_writers_still_serve(tmp_path):
+    # Older writers stored the full SimulationResult.to_dict(), with
+    # the register/memory snapshot and an empty ``extra`` beside it.
+    result = synthetic_result(4)
+    old = dict(result_record(result), regs=list(range(32)),
+               memory={"4096": 7}, extra={})
+    key = synthetic_key(4)
+    store = ResultStore(tmp_path)
+    store._append_envelope({"key": key, "model_version": MODEL_VERSION,
+                            "meta": {}, "result": old})
+    assert "regs" in store.load_envelope(key)["result"]
+    assert result_record(store.load(key)) == result_record(result)
+    assert result_record(store.load_many([key])[key]) == result_record(result)
+    assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
+                              "stale": 0}
+    assert store.compact()["cells"] == 1
+    assert (result_record(ResultStore(tmp_path).load(key))
+            == result_record(result))
+
+
 def test_compact_folds_single_cell_segments(tmp_path):
     # One writer instance per cell — the crash-resume worst case —
     # leaves one segment per cell; compact folds them into one.
@@ -257,8 +259,8 @@ def test_compact_folds_single_cell_segments(tmp_path):
     assert len(segment_files(tmp_path)) == 1
     reloaded = ResultStore(tmp_path)
     for index in range(8):
-        assert (reloaded.load(synthetic_key(index)).to_dict()
-                == synthetic_result(index).to_dict())
+        assert (result_record(reloaded.load(synthetic_key(index)))
+                == result_record(synthetic_result(index)))
 
 
 def test_gc_reports_bytes_reclaimed(tmp_path):
@@ -339,12 +341,18 @@ def test_foreign_manifest_format_is_refused(tmp_path):
 
 def test_lazy_results_survive_compaction(tmp_path):
     keys = populate(tmp_path, 3)
+    # Unusable stats blobs send every read to the segment record.
+    db = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    db.execute("UPDATE cells SET stats=NULL")
+    db.commit()
+    db.close()
     store = ResultStore(tmp_path)
     loaded = store.load_many(keys)
-    # Relocate every record while lazy results are outstanding...
+    # Relocate every record while the results are outstanding...
     store.save(synthetic_key(50), synthetic_result(50))
     store.compact()
-    # ...then touch their snapshots: the stale locators re-resolve
+    # ...then touch their statistics: the stale locators re-resolve
     # through the manifest instead of failing.
     for index, key in enumerate(keys):
-        assert loaded[key].to_dict() == synthetic_result(index).to_dict()
+        assert (result_record(loaded[key])
+                == result_record(synthetic_result(index)))

@@ -1,7 +1,7 @@
 """Columnar trace storage: typed-layout coercion, payload round-trips,
 and corruption rejection.
 
-The serialisation contract (trace-v2) is load-bearing for the disk
+The serialisation contract (trace-v3) is load-bearing for the disk
 cache: a payload must survive array -> payload -> array bit-identically
 on any host, and *anything* damaged — stale version, foreign
 endianness, bad base64, truncated buffers, disagreeing lengths,
@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.interp import run_reference
 from repro.isa.trace import (
     _ITEMSIZE,
     _PAYLOAD_ENDIAN,
@@ -82,8 +83,11 @@ def test_typed_layout_and_list_coercion_agree(cols):
 
 
 def _good_payload():
-    trace = _make_trace([1, 2, 3], [2, 3, 3], [-7, 0, 5], [0, 64, 0],
-                        b"\x00\x01\x00", b"\x01\x00\x00")
+    trace = DynamicTrace(
+        program_name="prop", program_len=3, entry=0,
+        pcs=[1, 2, 3], next_pcs=[2, 3, 3], results=[-7, 0, 5],
+        addrs=[0, 64, 0], taken=b"\x00\x01\x00", l1_hit=b"\x01\x00\x00",
+        final_regs=[0] * 31 + [-9], final_addrs=[64], final_values=[-3])
     return trace.to_payload()
 
 
@@ -113,6 +117,9 @@ def test_payload_declares_canonical_format():
     {"taken": base64.b64encode(b"\x00\x02\x00").decode("ascii")},
     {"l1_hit": base64.b64encode(b"\xff\x00\x00").decode("ascii")},
     {"l1_hit": base64.b64encode(b"\x03\x02\x02").decode("ascii")},
+    {"final_regs": "!!not base64!!"},
+    # Final memory: two values for one address.
+    {"final_values": base64.b64encode(bytes(16)).decode("ascii")},
 ])
 def test_damaged_payloads_are_rejected(mutation):
     payload = dict(_good_payload())
@@ -124,6 +131,29 @@ def test_damaged_payloads_are_rejected(mutation):
 def test_good_payload_still_loads():
     clone = DynamicTrace.from_payload(_good_payload())
     assert list(clone.results) == [-7, 0, 5]
+    assert list(clone.final_regs) == [0] * 31 + [-9]
+    assert list(clone.final_addrs) == [64]
+    assert list(clone.final_values) == [-3]
+
+
+def test_recorded_final_state_is_the_reference_run():
+    program = streaming_kernel(iterations=2, array_words=32)
+    state = run_reference(program).state
+    trace = record_trace(program)
+    regs = [state.read_reg(reg) for reg in range(32)]
+    trace.check_final_state(regs, state.memory)
+    assert 0 < len(trace.final_addrs) == sum(
+        1 for value in state.memory.values() if value)
+    # A word holding zero is no word; any other difference is caught.
+    trace.check_final_state(regs, {**state.memory, 1 << 40: 0})
+    addr = trace.final_addrs[0]
+    for bad_regs, bad_memory in (
+            (regs[:3] + [regs[3] + 1] + regs[4:], state.memory),
+            (regs, {**state.memory, addr: state.memory[addr] + 1}),
+            (regs, {**state.memory, 1 << 40: 7}),
+            (regs, {a: v for a, v in state.memory.items() if a != addr})):
+        with pytest.raises(ValueError):
+            trace.check_final_state(bad_regs, bad_memory)
 
 
 def test_recorded_trace_uses_typed_columns():
