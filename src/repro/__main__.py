@@ -16,13 +16,11 @@ Subcommands:
     pre-populated in parallel first, so the experiments themselves are
     served from cache.
 ``store``
-    Maintain the persistent result store: ``store verify`` quarantines
-    corrupt cells aside (``.corrupt``) and drops stale ones,
-    ``store gc`` evicts everything outside the standard campaign grid
-    for the given scale/seed and reports the bytes reclaimed,
-    ``store stats`` prints cell/segment counts, bytes on disk, and
-    compression ratio, ``store compact`` folds live records into fresh
-    sealed segments, and ``store failures`` lists recorded cell
+    Maintain the persistent result store: ``store verify`` deletes
+    corrupt and stale cells, ``store gc`` evicts everything outside the
+    standard campaign grid for the given scale/seed and reports the
+    bytes reclaimed, ``store stats`` prints cell and failure counts and
+    bytes live and on disk, and ``store failures`` lists recorded cell
     failures (exit 1 when any exist).
 ``schemes``
     List every registered speculation scheme straight from the scheme
@@ -139,16 +137,13 @@ def build_parser():
     store = sub.add_parser(
         "store", help="maintain the persistent result store")
     store.add_argument("action",
-                       choices=("verify", "gc", "stats", "compact",
-                                "failures"),
-                       help="verify: quarantine corrupt cells aside and"
-                            " drop stale ones; gc: evict cells outside"
-                            " the standard grid (reports bytes"
-                            " reclaimed); stats: cell/segment counts,"
-                            " bytes on disk, compression ratio; compact:"
-                            " fold live records into fresh sealed"
-                            " segments; failures: list recorded cell"
-                            " failures (exit 1 when any exist)")
+                       choices=("verify", "gc", "stats", "failures"),
+                       help="verify: delete corrupt and stale cells;"
+                            " gc: evict cells outside the standard grid"
+                            " (reports bytes reclaimed); stats: cell"
+                            " count, live and on-disk bytes; failures:"
+                            " list recorded cell failures (exit 1 when"
+                            " any exist)")
     store.add_argument("--store-dir", default=DEFAULT_STORE_DIR,
                        help="persistent store root (default %(default)s)")
     store.add_argument("--scale", type=float, default=1.0,
@@ -288,8 +283,8 @@ def cmd_store(args):
     store = ResultStore(args.store_dir)
     if args.action == "verify":
         summary = store.verify()
-        print("store verify (%s): %d scanned, %d kept, %d corrupt set"
-              " aside, %d stale dropped"
+        print("store verify (%s): %d scanned, %d kept, %d corrupt"
+              " deleted, %d stale dropped"
               % (store.root, summary["scanned"], summary["kept"],
                  summary["corrupt"], summary["stale"]))
         return 0
@@ -297,35 +292,17 @@ def cmd_store(args):
         stats = store.stats()
         print("store stats (%s): format %s" % (store.root, stats["format"]))
         print("  cells: %d" % stats["cells"])
-        print("  segments: %d (%s; live %s of raw %s, ratio %s)"
-              % (stats["segments"], _format_bytes(stats["segment_bytes"]),
-                 _format_bytes(stats["live_bytes"]),
-                 _format_bytes(stats["raw_bytes"]),
-                 "%.2fx" % stats["compression_ratio"]
-                 if stats["compression_ratio"] else "n/a"))
-        print("  disk: %s total (manifest %s)"
-              % (_format_bytes(stats["disk_bytes"]),
-                 _format_bytes(stats["manifest_bytes"])))
+        print("  live: %s (stats + meta)"
+              % _format_bytes(stats["live_bytes"]))
+        print("  disk: %s" % _format_bytes(stats["disk_bytes"]))
         print("  failures recorded: %d" % stats["failures"])
-        return 0
-    if args.action == "compact":
-        summary = store.compact()
-        print("store compact (%s): %d cells, %d -> %d segment(s),"
-              " %s -> %s%s"
-              % (store.root, summary["cells"],
-                 summary["segments_before"], summary["segments_after"],
-                 _format_bytes(summary["bytes_before"]),
-                 _format_bytes(summary["bytes_after"]),
-                 ", %d corrupt dropped" % summary["corrupt_dropped"]
-                 if summary["corrupt_dropped"] else ""))
         return 0
     if args.action == "failures":
         failures = store.failures()
         for record in failures:
-            print("%s  %s/%s/%s  %s x%d (worker %s): %s"
-                  % (record.key[:12], record.benchmark,
+            print("%s  %s/%s/%s  (worker %s): %s"
+                  % (record.key, record.benchmark,
                      record.config_name or "-", record.scheme_name,
-                     record.kind, record.attempts,
                      record.worker or "?", record.error))
         print("store failures (%s): %d recorded"
               % (store.root, len(failures)))

@@ -75,10 +75,8 @@ def cycle_account_breakdown(results):
 def store_stall_breakdown(store):
     """:func:`cycle_account_breakdown` over a whole result store.
 
-    ``store.iter_results()`` serves every cell straight from the
-    manifest index: statistics decode from each row's blob and no
-    segment record is read — an index scan, not 10^4
-    decompress+parse round trips on a campaign-sized store.
+    ``store.iter_results()`` serves every cell from one table scan:
+    statistics unpickle from each row's blob, with no JSON parse.
     """
     return cycle_account_breakdown(store.iter_results())
 

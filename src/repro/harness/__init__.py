@@ -13,49 +13,37 @@ included), the scheme name plus constructor kwargs, the workload
 scale/seed, and a model version stamp.  Display names carry no
 identity, so same-named-but-different configurations can never alias.
 
-**Store layout** (format ``segments-v1``).  With a
-:class:`~repro.harness.store.ResultStore` attached, cells append into
-shared segment files indexed by a SQLite manifest::
+**Store layout** (format ``cells-v2``).  With a
+:class:`~repro.harness.store.ResultStore` attached, every cell lands
+as one row of a single SQLite file::
 
     results/store/
-        manifest.db               # SQLite: full-key index + columns
-        segments/seg-NNNNNN.seg   # append-only record segments
-        failures/*.json           # CellFailure records
+        manifest.db               # SQLite: cells + failures tables
 
-Each segment record is ``"SBR1" | u32 payload-length | u32 CRC32 |
-zlib(canonical JSON)`` where the JSON payload is the envelope
-``{"key", "model_version", "meta", "result"}`` and ``result`` holds the
-cell's identity, ``halted``, ``cycles`` and statistics — no register
-or memory snapshot: every simulated cell is checked against the
-reference interpreter's final state before it is stored.  The
-manifest's ``cells`` table maps every *full* 64-hex key to its
-segment/offset/length and carries the benchmark/config/scheme
-columns, hot counters, and a per-cell statistics blob: ``keys()`` and
-``len()`` are pure index reads, and ``load_many`` / ``iter_results``
-serve :class:`~repro.harness.store.StoredResult` rows with zero
-segment I/O.  Writers append a record and flush
-*before* indexing it, so a crash leaves at worst an unindexed orphan
-tail — never an indexed cell without bytes; each writer instance owns
-its segment, so concurrent writers never interleave.
-``ResultStore.compact()`` folds live records into fresh sealed
-segments and reclaims dead bytes, and ``python -m repro store stats``
-reports cell/segment counts, bytes on disk, and compression ratio.
-Segments are the only format the store reads: stray ``*.json`` files
-in the store root are ignored, and a manifest of another format is
-refused with a message to remove or move the store aside — it is a
-cache, rebuilt by rerunning the campaign.
+A ``cells`` row is keyed on the *full* 64-hex key and holds the model
+version, the benchmark/config/scheme names, ``halted``, ``cycles``,
+the caller's ``meta`` as JSON, and the statistics as a pickled
+``SimStats`` blob with its CRC32 — no register or memory snapshot:
+every simulated cell is checked against the reference interpreter's
+final state before it is stored.  ``keys()`` and ``len()`` are index
+reads, and ``load`` / ``load_many`` / ``iter_results`` serve
+:class:`~repro.harness.store.StoredResult` rows whose statistics are
+CRC-checked and unpickled when first touched; a damaged blob raises
+:class:`~repro.harness.store.CorruptRecord` naming ``python -m repro
+store verify``.  Each ``save`` is one transaction (SQLite WAL mode), so
+concurrent writers and readers never see half a cell.  A file of
+another format is refused with a message to remove or move the store
+aside — it is a cache, rebuilt by rerunning the campaign.
 
 **Version invalidation and maintenance.**  The model version stamp
 (:data:`~repro.harness.store.MODEL_VERSION`, the package version)
 participates in every hash: bumping the version changes every key, so
 results computed by an older simulator are never reused — they simply
 stop being found.  Eviction is no longer all-or-nothing:
-``ResultStore.verify()`` quarantines corrupt records (healthy
-neighbours are salvaged, the damaged segment is set aside as
-``*.corrupt``) and drops version-stale cells, ``ResultStore.gc(
-keep_keys)`` evicts everything outside a caller-supplied key set and
-reports the bytes reclaimed, and all of it is scriptable as
-``python -m repro store {verify,gc,stats,compact}``.
+``ResultStore.verify()`` deletes corrupt and version-stale cells,
+``ResultStore.gc(keep_keys)`` evicts everything outside a
+caller-supplied key set and reports the bytes reclaimed, and all of it
+is scriptable as ``python -m repro store {verify,gc,stats}``.
 Maintenance verbs are offline operations: run them without concurrent
 writers.
 
@@ -75,10 +63,9 @@ done/total, cells/sec, ETA, per-worker attribution).
 
 - *Recorded*: a cell whose simulation raises — including a cell whose
   final registers or memory differ from the reference interpreter's —
-  is settled as a
-  :class:`~repro.harness.store.CellFailure` (kind ``deterministic``,
-  with the error and traceback text); in a store-backed campaign the
-  record persists under ``<store>/failures/`` (``python -m repro
+  is settled as a :class:`~repro.harness.store.CellFailure` (with
+  the error and traceback text); in a store-backed campaign the
+  record persists in the store's ``failures`` table (``python -m repro
   store failures`` lists it), the summary counts it as ``failed``,
   and the rest of the campaign completes.  Without a store the
   exception propagates.
@@ -105,10 +92,9 @@ benchmark generate its program once per process.
     python -m repro run figure6 table3           # named experiments
     python -m repro run all --jobs 8             # everything, parallel
     python -m repro store failures               # recorded cell failures
-    python -m repro store verify                 # quarantine corrupt/stale
+    python -m repro store verify                 # delete corrupt/stale
     python -m repro store gc --scale 1.0         # evict off-grid cells
-    python -m repro store stats                  # cells/segments/bytes
-    python -m repro store compact                # fold + reclaim segments
+    python -m repro store stats                  # cells and bytes
     python -m repro profile --json               # cProfile one cell
     python3 perfbench/run.py --workload kernel-regimes  # host-time bench
 

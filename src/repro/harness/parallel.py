@@ -58,7 +58,7 @@ def simulate_cell(spec):
     The result's registers and non-zero memory must equal the final
     state the trace recorded from the reference interpreter; a
     mismatch raises ``ValueError``, which :func:`run_cells` records as
-    a ``deterministic`` :class:`CellFailure`.
+    a :class:`CellFailure`.
     """
     benchmark, config, scheme_name, scheme_kwargs, scale, seed = spec
     program = cached_spec_program(benchmark, scale=scale, seed=seed)
@@ -93,7 +93,7 @@ def _cell_failure(spec, exc, worker):
                            scheme_kwargs=dict(scheme_kwargs or ()),
                            scale=scale, seed=seed),
         benchmark=benchmark, config_name=config.name,
-        scheme_name=scheme_name, kind="deterministic", worker=worker,
+        scheme_name=scheme_name, worker=worker,
         error="%s: %s" % (type(exc).__name__, exc),
         traceback=traceback.format_exc(),
     )
@@ -123,7 +123,7 @@ def run_cells(specs, jobs=None, progress=None, on_result=None,
     caller keeps every finished cell even if the batch is interrupted.
 
     A cell whose simulation raises is reported as
-    ``on_failure(index, CellFailure(kind="deterministic", ...))`` and
+    ``on_failure(index, CellFailure(...))`` and
     ``progress.cell_failed(...)``; its result is ``None`` and the rest of
     the batch completes.  Without ``on_failure`` the exception
     propagates instead.  A pool worker process that dies (rather than

@@ -15,12 +15,10 @@ Three layers cooperate:
 
 - the in-process dict cache (always on, per-runner);
 - an optional persistent :class:`~repro.harness.store.ResultStore`
-  (segment files + manifest index on disk — see
-  :mod:`repro.harness.segments`) consulted before simulating and updated
-  after, so repeated processes skip already-simulated cells.  Stored
-  cells are served from the manifest (identity, ``halted``,
-  ``cycles`` and statistics — all any experiment reads), so a
-  store-backed report reads no segment at all;
+  (one SQLite file on disk) consulted before simulating and updated
+  after, so repeated processes skip already-simulated cells.  A stored
+  cell is one row: identity, ``halted``, ``cycles`` and statistics —
+  all any experiment reads;
 - :func:`~repro.harness.parallel.run_cells`, which
   :meth:`CampaignRunner.run_grid` uses to run the *uncached* cells of
   a grid serially or across a local process pool, streaming each
@@ -71,13 +69,13 @@ class CampaignRunner:
         """Result for one cell of the grid (cached, store-backed).
 
         A stored cell comes back as the store's
-        :class:`~repro.harness.store.StoredResult`, served from the
-        manifest: identity, ``halted``, ``cycles`` and statistics, no
-        ``regs``/``memory`` (every simulated cell was checked against
-        the reference interpreter before it was stored).  A cell whose
-        segment record is corrupt is still served from the manifest —
-        it is not resimulated; ``python -m repro store verify`` reports
-        the record.
+        :class:`~repro.harness.store.StoredResult`: identity,
+        ``halted``, ``cycles`` and statistics, no ``regs``/``memory``
+        (every simulated cell was checked against the reference
+        interpreter before it was stored).  A cell whose statistics are
+        corrupt is not resimulated: touching them raises
+        :class:`~repro.harness.store.CorruptRecord` naming ``python -m
+        repro store verify``, which deletes the row.
         """
         key = self.cell_key(benchmark, config, scheme_name, scheme_kwargs)
         cached = self._cache.get(key)
@@ -116,10 +114,8 @@ class CampaignRunner:
         ``(benchmark, config, scheme_name)`` in ``cells``;
         :func:`~repro.harness.experiments.run_experiment` makes this
         call with every cell an experiment declares, before running it.
-        As in :meth:`run`, only manifest rows are read here, never
-        segments.  Returns the number of cells
-        newly cached; cells absent from the store are left for
-        :meth:`run` to simulate.
+        Returns the number of cells newly cached; cells absent from the
+        store are left for :meth:`run` to simulate.
         """
         if self.store is None:
             return 0
@@ -228,11 +224,10 @@ class CampaignRunner:
         def persist_streaming(index, result):
             # Fired as each cell completes: results reach the store
             # while the campaign is still running, so an interruption
-            # keeps every cell already simulated.  A result also clears
-            # any failure record left by an earlier attempt.
+            # keeps every cell already simulated.  Saving a result also
+            # clears any failure record left by an earlier attempt.
             key, benchmark, config, scheme = pending[index]
             self._persist(key, result, benchmark, config, scheme, {})
-            self.store.clear_failure(key)
 
         def persist_failure(index, failure):
             # Failure-side twin: settle the cell's CellFailure record

@@ -17,60 +17,46 @@ distinct configurations that happen to share a name (two ad-hoc
 other's results.  Bumping the package version invalidates every stored
 cell at once, because the stamp participates in the hash.
 
-On disk the store is **segment-backed** (format ``segments-v1``, see
-:mod:`repro.harness.segments` for the byte-level contract)::
+On disk the store is one SQLite file (format ``cells-v2``)::
 
     results/store/
-        manifest.db            SQLite manifest + full-key index
-        segments/seg-NNNNNN.seg   append-only record segments
-        failures/*.json        CellFailure records (unchanged format)
+        manifest.db            cells + failures tables (plus -wal/-shm)
 
-Results append as compressed records into segment files.  A record's
-envelope holds the cell's identity, ``halted``, ``cycles`` and
-statistics (:func:`result_record`) — what reports read, and nothing
-else: no architectural snapshot is stored, because
-:func:`~repro.harness.parallel.simulate_cell` checks every cell's
-registers and memory against the reference interpreter before it
-reaches the store.  The manifest maps every full 64-hex key to its
-record and carries the benchmark/config/scheme columns plus per-cell
-statistics, so ``keys()``/``__len__`` are O(index) with zero file
-opens and every read (``load_many``, ``iter_results``) is served as
-:class:`StoredResult` rows straight off the manifest.  Segments are the
-only format: stray ``*.json`` files in the store root are ignored.
+The ``cells`` table holds one row per full 64-hex key: the model
+version, the identity names, ``halted``, ``cycles``, the caller's
+``meta`` as JSON, and the statistics as a pickled
+:class:`~repro.pipeline.stats.SimStats` blob with its CRC32 beside it.
+That is what reports read, and nothing else: no architectural snapshot
+is stored, because :func:`~repro.harness.parallel.simulate_cell` checks
+every cell's registers and memory against the reference interpreter
+before it reaches the store.  Every read (``load``, ``load_many``,
+``iter_results``) returns :class:`StoredResult` rows; the blob is
+CRC-checked and unpickled only when ``stats`` is first touched.  SQLite's
+WAL mode keeps any number of writers and readers (threads or
+processes) live on one store.  Stray files in the store root are
+ignored, and a file of another format is refused: the store is a cache,
+rebuilt by rerunning the campaign.
 
 Failures are first-class: a cell the campaign could not complete
-(its simulation raised) persists as a :class:`CellFailure` record under
-``failures/`` beside the results, written with the same atomic
-discipline as before.  A later successful result for the cell
-clears its failure record (first-result-wins), and ``python -m repro
-store failures`` lists whatever remains.
+(its simulation raised) persists as a :class:`CellFailure` row in the
+``failures`` table, keyed on the full key.  Saving a result for the
+cell deletes its failure row in the same transaction
+(first-result-wins), and ``python -m repro store failures`` lists
+whatever remains.
 """
 
+import contextlib
 import hashlib
 import io
 import json
 import os
 import pathlib
 import pickle
-import re
-import shutil
-import tempfile
+import sqlite3
 import threading
+import zlib
 
 from repro import __version__
-from repro.harness.segments import (
-    CorruptRecord,
-    DEFAULT_SEGMENT_BYTES,
-    FORMAT_VERSION,
-    MANIFEST_NAME,
-    Manifest,
-    SEGMENT_DIR,
-    SEGMENT_SUFFIX,
-    decode_envelope,
-    encode_envelope,
-    pack_record,
-    unpack_record,
-)
 from repro.pipeline.stats import SimStats
 
 #: Stamp hashed into every key; results computed by a different model
@@ -80,34 +66,75 @@ MODEL_VERSION = __version__
 #: Default on-disk location, overridable via the environment.
 DEFAULT_STORE_DIR = os.environ.get("REPRO_STORE_DIR", "results/store")
 
-_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
+#: The store's one file under its root.
+MANIFEST_NAME = "manifest.db"
 
-#: Recognised failure classes (see the failure-model contract in
-#: :mod:`repro.harness`).  Only ``deterministic`` — the simulation
-#: raised — is produced now; ``poisoned`` (the cell killed workers
-#: until it was quarantined) and ``timeout`` (a worker watchdog hit
-#: its deadline) stay accepted so records written by older builds
-#: still list.
-FAILURE_KINDS = ("poisoned", "deterministic", "timeout")
+#: Store format generation (``meta`` table, key ``format``).
+FORMAT_VERSION = "cells-v2"
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS cells (
+    key TEXT PRIMARY KEY,
+    model_version TEXT NOT NULL,
+    benchmark TEXT NOT NULL,
+    config TEXT NOT NULL,
+    scheme TEXT NOT NULL,
+    halted INTEGER NOT NULL,
+    cycles INTEGER NOT NULL,
+    meta TEXT NOT NULL,
+    stats BLOB NOT NULL,
+    crc INTEGER NOT NULL
+);
+CREATE TABLE IF NOT EXISTS failures (
+    key TEXT PRIMARY KEY,
+    benchmark TEXT,
+    config_name TEXT,
+    scheme_name TEXT,
+    worker TEXT,
+    error TEXT,
+    traceback TEXT
+);
+"""
+
+_INSERT_CELL = ("INSERT OR REPLACE INTO cells (key, model_version,"
+                " benchmark, config, scheme, halted, cycles, meta, stats,"
+                " crc) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
+
+#: The columns a :class:`StoredResult` is built from, in its order.
+_SELECT_CELL = ("SELECT key, benchmark, config, scheme, halted, cycles,"
+                " stats, crc FROM cells")
+
+#: SQLite limits ``IN (...)`` parameter lists; chunk batched lookups.
+_IN_CHUNK = 500
+
+
+@contextlib.contextmanager
+def _transaction(conn):
+    conn.execute("BEGIN IMMEDIATE")
+    try:
+        yield
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+    conn.execute("COMMIT")
+
+
+class CorruptRecord(ValueError):
+    """A stored cell's statistics failed their CRC or would not decode."""
 
 
 class CellFailure:
     """A structured record of one cell the campaign could not complete."""
 
-    __slots__ = ("key", "benchmark", "config_name", "scheme_name", "kind",
-                 "attempts", "worker", "error", "traceback")
+    __slots__ = ("key", "benchmark", "config_name", "scheme_name",
+                 "worker", "error", "traceback")
 
-    def __init__(self, key, benchmark, config_name, scheme_name, kind,
-                 attempts=1, worker=None, error="", traceback=None):
-        if kind not in FAILURE_KINDS:
-            raise ValueError("unknown failure kind %r (choose from %s)"
-                             % (kind, ", ".join(FAILURE_KINDS)))
+    def __init__(self, key, benchmark, config_name, scheme_name,
+                 worker=None, error="", traceback=None):
         self.key = key
         self.benchmark = benchmark
         self.config_name = config_name
         self.scheme_name = scheme_name
-        self.kind = kind
-        self.attempts = int(attempts)
         self.worker = worker
         self.error = str(error)
         self.traceback = traceback
@@ -115,15 +142,10 @@ class CellFailure:
     def to_dict(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{slot: data.get(slot) for slot in cls.__slots__
-                      if slot in data})
-
     def __repr__(self):
-        return ("CellFailure(%s/%s/%s, kind=%s, attempts=%d, error=%r)"
+        return ("CellFailure(%s/%s/%s, error=%r)"
                 % (self.benchmark, self.config_name, self.scheme_name,
-                   self.kind, self.attempts, self.error))
+                   self.error))
 
 
 def _scheme_wire_version(scheme_name):
@@ -174,46 +196,38 @@ def simulation_key(benchmark, config, scheme_name, scheme_kwargs=None,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def cell_filename(benchmark, config_name, scheme_name, key):
-    """Browsable filename for one cell: readable prefix + digest."""
-    prefix = "__".join(
-        _SAFE.sub("-", part) for part in (benchmark, config_name, scheme_name)
-    )
-    return "%s__%s.json" % (prefix, key[:12])
-
-
 class _StatsUnpickler(pickle.Unpickler):
-    """Unpickler restricted to the one class manifest blobs may hold."""
+    """Unpickler restricted to the one class stats blobs may hold."""
 
     def find_class(self, module, name):
         if module == "repro.pipeline.stats" and name == "SimStats":
             return SimStats
         raise pickle.UnpicklingError(
-            "manifest stats blob references %s.%s" % (module, name))
+            "stats blob references %s.%s" % (module, name))
 
 
-def _pickle_stats(stats):
+def _decode_stats(key, blob, crc):
+    """Check ``blob`` against its CRC and unpickle it.
+
+    Raises :class:`CorruptRecord` naming ``python -m repro store
+    verify`` when the blob is damaged, foreign or not a
+    :class:`SimStats`: there is no second copy to fall back to.
+    """
     try:
-        return pickle.dumps(stats, protocol=4)
-    except Exception:
-        return None
-
-
-def _unpickle_stats(blob):
-    """Decode a manifest stats blob, or ``None`` when it cannot be
-    trusted (missing, truncated, foreign class) — callers fall back to
-    the authoritative segment payload."""
-    if not blob:
-        return None
-    try:
-        obj = _StatsUnpickler(io.BytesIO(bytes(blob))).load()
-    except Exception:
-        return None
-    return obj if isinstance(obj, SimStats) else None
+        if zlib.crc32(blob) != crc:
+            raise ValueError("CRC mismatch")
+        stats = _StatsUnpickler(io.BytesIO(blob)).load()
+        if not isinstance(stats, SimStats):
+            raise TypeError("blob holds %s" % type(stats).__name__)
+    except Exception as exc:
+        raise CorruptRecord(
+            "stored statistics of cell %s are unreadable (%s) — run"
+            " 'python -m repro store verify'" % (key, exc)) from exc
+    return stats
 
 
 def result_record(result):
-    """The envelope ``result`` stored for one cell.
+    """The fields the store keeps of one cell's result.
 
     Identity, ``halted``, ``cycles`` and the full statistics — what
     reports read.  Accepts a fresh
@@ -230,55 +244,30 @@ def result_record(result):
     }
 
 
-def _check_result_record(data):
-    """Raise unless ``data`` is a well-formed envelope ``result``.
-
-    Keys beyond :func:`result_record`'s — the ``regs``/``memory``/
-    ``extra`` snapshot older writers stored — are ignored.
-    """
-    for name in ("program_name", "scheme_name", "config_name"):
-        if not isinstance(data[name], str):
-            raise TypeError("result %s is not a string" % name)
-    SimStats.from_dict(data["stats"])
-
-
 class StoredResult:
-    """One stored cell, served from its manifest row.
+    """One stored cell, served from its ``cells`` row.
 
     Quacks like a :class:`~repro.pipeline.core.SimulationResult` for
     every statistics-level consumer (``key``, identity names,
-    ``halted``, ``cycles``, ``stats``, ``ipc``) without opening a
-    segment file: ``stats`` decodes from the row's pickled blob on
-    first access, falling back to the authoritative segment record only
-    if the blob is unusable.
+    ``halted``, ``cycles``, ``stats``, ``ipc``): ``stats`` checks and
+    decodes the row's pickled blob on first access and raises
+    :class:`CorruptRecord` if it is damaged.
     """
 
     __slots__ = ("key", "program_name", "config_name", "scheme_name",
-                 "halted", "cycles", "_store", "_row", "_stats")
+                 "halted", "cycles", "_blob", "_crc", "_stats")
 
-    def __init__(self, store, row, stats=None):
-        self.key = row["key"]
-        self.program_name = row["benchmark"]
-        self.config_name = row["config"]
-        self.scheme_name = row["scheme"]
-        self.halted = bool(row["halted"])
-        self.cycles = row["result_cycles"] or 0
-        self._store = store
-        self._row = row
+    def __init__(self, row, stats=None):
+        (self.key, self.program_name, self.config_name, self.scheme_name,
+         halted, self.cycles, self._blob, self._crc) = row
+        self.halted = bool(halted)
         self._stats = stats
 
     @property
     def stats(self):
         if self._stats is None:
-            row = self._row
-            stats = _unpickle_stats(row["stats"])
-            if stats is None:
-                env = self._store._read_cell(
-                    self.key, row["segment_name"], row["offset"],
-                    row["length"])
-                stats = SimStats.from_dict(env["result"]["stats"])
-            self._stats = stats
-            self._row = None
+            self._stats = _decode_stats(self.key, self._blob, self._crc)
+            self._blob = None
         return self._stats
 
     @property
@@ -287,91 +276,74 @@ class StoredResult:
 
 
 class ResultStore:
-    """Segment-backed result store rooted at one directory.
+    """SQLite-backed result store rooted at one directory.
 
     Surface: ``save``/``load``/``load_many``/``iter_results``/
-    ``keys``/``verify``/``gc``/``clear``, the failure-record API, and
-    ``in``/``len``; the maintenance verbs (:meth:`compact`,
-    :meth:`stats`); and :meth:`load_envelope` for format-level tooling.
-    Every read returns :class:`StoredResult` rows.
+    ``keys``/``verify``/``gc``/``stats``/``clear``, the failure-record
+    API, and ``in``/``len``.  Every read returns :class:`StoredResult`
+    rows.
 
-    Concurrency: any number of reader instances (threads or processes)
-    may overlap any number of writers — readers always consult the
-    manifest, and every writer instance appends to its *own* segment.
-    The maintenance verbs (``verify``/``gc``/``compact``) rewrite
-    shared state and are offline operations: run them without
-    concurrent writers.
+    Concurrency: any number of instances (threads or processes) may
+    read and write one store at once; each ``save`` is one
+    transaction.  ``verify`` and ``gc`` are offline operations: run
+    them without concurrent writers.
     """
 
-    def __init__(self, root=None, segment_bytes=None):
+    def __init__(self, root=None):
         self.root = pathlib.Path(root or DEFAULT_STORE_DIR)
-        self.segment_bytes = segment_bytes or DEFAULT_SEGMENT_BYTES
-        self._manifest = None
-        self._active = None  # this instance's open segment, grown lazily
+        self._conn = None
         self._lock = threading.RLock()
 
-    # -- manifest / segment plumbing --------------------------------------
+    # -- connection -------------------------------------------------------
 
     @property
     def manifest_path(self):
         return self.root / MANIFEST_NAME
 
-    @property
-    def segments_dir(self):
-        return self.root / SEGMENT_DIR
-
-    def _manifest_if_exists(self):
-        """The manifest, or ``None`` — never creates files on a read."""
-        if self._manifest is None and self.manifest_path.exists():
-            self._manifest = Manifest(self.manifest_path)
-        return self._manifest
-
-    def _manifest_rw(self):
-        if self._manifest is None:
+    def _db(self, create=False):
+        """The open connection, or ``None`` when the store does not
+        exist and ``create`` is false — a read never creates files."""
+        if self._conn is None:
+            if not create and not self.manifest_path.exists():
+                return None
             self.root.mkdir(parents=True, exist_ok=True)
-            self._manifest = Manifest(self.manifest_path)
-        return self._manifest
-
-    def _active_segment(self, need):
-        """This instance's open segment, rolled when ``need`` more
-        bytes would push it past the seal threshold."""
-        active = self._active
-        if (active is not None and active["offset"] > 0
-                and active["offset"] + need > self.segment_bytes):
-            self._seal_active()
-            active = None
-        if active is None:
-            manifest = self._manifest_rw()
-            segment_id, name = manifest.add_segment()
-            self.segments_dir.mkdir(parents=True, exist_ok=True)
-            path = self.segments_dir / name
-            handle = open(path, "ab")
-            active = self._active = {
-                "id": segment_id, "path": path,
-                "handle": handle, "offset": handle.tell(),
-            }
-        return active
-
-    def _seal_active(self):
-        active, self._active = self._active, None
-        if active is None:
-            return
-        try:
-            active["handle"].close()
-        except OSError:
-            pass
-        try:
-            self._manifest_rw().seal_segment(active["id"])
-        except Exception:
-            pass
+            conn = sqlite3.connect(str(self.manifest_path), timeout=30.0,
+                                   check_same_thread=False,
+                                   isolation_level=None)
+            conn.execute("PRAGMA busy_timeout=30000")
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+            except sqlite3.DatabaseError:
+                pass  # WAL unsupported (exotic fs): rollback mode works
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("CREATE TABLE IF NOT EXISTS meta"
+                         " (k TEXT PRIMARY KEY, v TEXT NOT NULL)")
+            row = conn.execute("SELECT v FROM meta WHERE k='format'"
+                               ).fetchone()
+            if row is None:
+                conn.executescript(_SCHEMA)
+                conn.execute("INSERT OR IGNORE INTO meta VALUES ('format',?)",
+                             (FORMAT_VERSION,))
+            elif row[0] != FORMAT_VERSION:
+                conn.close()
+                raise RuntimeError(
+                    "store manifest %s has format %r (this build reads %r);"
+                    " the store is a cache: remove or move aside %s and"
+                    " rerun to rebuild it"
+                    % (self.manifest_path, row[0], FORMAT_VERSION,
+                       self.root))
+            self._conn = conn
+        return self._conn
 
     def close(self):
-        """Release the open segment handle and manifest connection."""
+        """Release the database connection."""
         with self._lock:
-            self._seal_active()
-            if self._manifest is not None:
-                self._manifest.close()
-                self._manifest = None
+            if self._conn is not None:
+                try:
+                    self._conn.close()
+                except sqlite3.Error:
+                    pass
+                self._conn = None
 
     def __del__(self):
         try:
@@ -379,397 +351,175 @@ class ResultStore:
         except Exception:
             pass
 
-    def _append_envelope(self, envelope, stats=None):
-        """Append one envelope as a segment record + manifest row.
-
-        The record is flushed *before* the row commits, so a crash
-        between the two leaves an unindexed orphan (reclaimed by
-        :meth:`compact`), never an indexed cell without bytes.  The
-        envelope's own ``model_version`` is recorded — salvage
-        preserves foreign stamps for :meth:`verify` to judge.
-        """
-        payload, raw_length = encode_envelope(envelope)
-        record = pack_record(payload)
-        data = envelope.get("result") or {}
-        if stats is None:
-            try:
-                stats = SimStats.from_dict(data["stats"])
-            except (ValueError, KeyError, TypeError):
-                stats = None
+    def _rows(self, query, args=()):
+        """Every row ``query`` yields; none when the store does not exist."""
         with self._lock:
-            manifest = self._manifest_rw()
-            active = self._active_segment(len(record))
-            offset = active["offset"]
-            active["handle"].write(record)
-            active["handle"].flush()
-            active["offset"] = offset + len(record)
-            manifest.upsert_cell({
-                "key": envelope["key"],
-                "segment": active["id"],
-                "offset": offset,
-                "length": len(record),
-                "raw_length": raw_length,
-                "benchmark": data.get("program_name"),
-                "config": data.get("config_name"),
-                "scheme": data.get("scheme_name"),
-                "model_version": envelope.get("model_version"),
-                "halted": 1 if data.get("halted") else 0,
-                "result_cycles": data.get("cycles", 0),
-                "cycles": getattr(stats, "cycles", None),
-                "committed": getattr(stats, "committed_instructions", None),
-                "stats": _pickle_stats(stats) if stats is not None else None,
-            })
-            return active["path"]
-
-    def _read_at(self, segment_name, offset, length):
-        path = self.segments_dir / segment_name
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            record = handle.read(length)
-        return decode_envelope(unpack_record(record))
-
-    def _read_cell(self, key, segment_name, offset, length):
-        """Read + validate one cell's envelope from its segment.
-
-        Retries through a fresh manifest lookup when the locator went
-        stale (the record was relocated by a concurrent ``compact``),
-        so manifest-served results survive store maintenance.  A record
-        that is still unreadable or foreign after the retry raises
-        :class:`CorruptRecord` naming ``python -m repro store verify``.
-        """
-        try:
-            env = self._read_at(segment_name, offset, length)
-            if env.get("key") == key:
-                return env
-        except (OSError, CorruptRecord, ValueError):
-            pass
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        if row is None:
-            raise KeyError("cell %s vanished from the store index" % key)
-        try:
-            env = self._read_at(row["segment_name"], row["offset"],
-                                row["length"])
-        except (CorruptRecord, ValueError) as exc:
-            raise CorruptRecord(
-                "segment record for %s is unreadable (%s) — run"
-                " 'python -m repro store verify'" % (key, exc)) from exc
-        if env.get("key") != key:
-            raise CorruptRecord(
-                "segment record for %s holds key %r — run"
-                " 'python -m repro store verify'" % (key, env.get("key")))
-        return env
+            db = self._db()
+            return [] if db is None else db.execute(query, args).fetchall()
 
     # -- membership / keys ------------------------------------------------
 
     def __contains__(self, key):
-        manifest = self._manifest_if_exists()
-        return manifest is not None and manifest.has_key(key)
+        return bool(self._rows("SELECT 1 FROM cells WHERE key=?", (key,)))
 
     def __len__(self):
-        manifest = self._manifest_if_exists()
-        return manifest.count() if manifest is not None else 0
+        return len(self.keys())
 
     def keys(self):
-        """Full keys of every stored cell — straight off the index."""
-        manifest = self._manifest_if_exists()
-        return manifest.keys() if manifest is not None else []
+        """Full keys of every stored cell."""
+        return [row[0] for row in self._rows("SELECT key FROM cells")]
 
-    # -- bulk reads -------------------------------------------------------
+    # -- reads ------------------------------------------------------------
 
     def iter_results(self):
         """Yield every stored cell as a :class:`StoredResult` (analysis
-        bulk read), straight off the manifest: no segment I/O."""
-        manifest = self._manifest_if_exists()
-        if manifest is None:
-            return
-        for row in manifest.iter_cells(with_stats=True):
-            yield StoredResult(self, row)
+        bulk read), fetched in chunks."""
+        with self._lock:
+            db = self._db()
+            if db is None:
+                return
+            cursor = db.execute(_SELECT_CELL)
+            while True:
+                rows = cursor.fetchmany(1024)
+                if not rows:
+                    return
+                for row in rows:
+                    yield StoredResult(row)
 
     def load_many(self, keys):
         """Bulk read: ``{key: StoredResult}`` for every hit.
 
-        Served from the manifest alone — identity, ``halted``,
-        ``cycles`` and statistics — so even a cell whose segment record
-        is damaged still serves.  Missing cells are simply absent from
-        the returned dict (callers treat absence as "needs
-        simulating").
+        Missing cells are simply absent from the returned dict (callers
+        treat absence as "needs simulating").  Statistics decode lazily,
+        so a damaged blob raises :class:`CorruptRecord` when touched.
         """
-        manifest = self._manifest_if_exists()
-        if manifest is None:
-            return {}
-        rows = manifest.cells_for(list(dict.fromkeys(keys)))
-        return {key: StoredResult(self, row) for key, row in rows.items()}
-
-    # -- round-tripping ---------------------------------------------------
-
-    def _envelope(self, row):
-        """``row``'s envelope, or ``None`` when its record is unreadable
-        or holds another key."""
-        try:
-            env = self._read_at(row["segment_name"], row["offset"],
-                                row["length"])
-        except (OSError, CorruptRecord, ValueError):
-            return None
-        return env if env.get("key") == row["key"] else None
+        keys = list(dict.fromkeys(keys))
+        found = {}
+        for start in range(0, len(keys), _IN_CHUNK):
+            chunk = keys[start:start + _IN_CHUNK]
+            for row in self._rows(_SELECT_CELL + " WHERE key IN (%s)"
+                                  % ",".join("?" * len(chunk)), chunk):
+                found[row[0]] = StoredResult(row)
+        return found
 
     def load(self, key):
         """The stored :class:`StoredResult`, or ``None``.
 
         The checked point read: unlike :meth:`load_many` it decodes the
-        cell's segment record and serves its statistics from there, so
-        a missing, corrupt or malformed record reads as absent.
+        statistics at once, so a missing or corrupt cell reads as
+        absent.
         """
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        env = self._envelope(row) if row is not None else None
-        if env is None:
-            return None
-        try:
-            stats = SimStats.from_dict(env["result"]["stats"])
-        except (KeyError, TypeError, ValueError):
-            return None
-        return StoredResult(self, row, stats)
+        for row in self._rows(_SELECT_CELL + " WHERE key=?", (key,)):
+            try:
+                return StoredResult(row, _decode_stats(key, row[6], row[7]))
+            except CorruptRecord:
+                return None
+        return None
 
-    def load_envelope(self, key):
-        """The raw stored envelope (``{"key", "model_version", "meta",
-        "result"}``) for ``key``, or ``None`` — format-level access for
-        tooling and store equivalence checks."""
-        manifest = self._manifest_if_exists()
-        row = manifest.cell(key) if manifest is not None else None
-        return self._envelope(row) if row is not None else None
+    # -- writes -----------------------------------------------------------
 
     def save(self, key, result, meta=None):
-        """Persist one result; returns the segment path it landed in.
-
-        Appends a record holding :func:`result_record` to this
-        instance's segment and indexes it in the manifest.
-        """
-        envelope = {
-            "key": key,
-            "model_version": MODEL_VERSION,
-            "meta": dict(meta or {}),
-            "result": result_record(result),
-        }
-        return self._append_envelope(envelope, stats=result.stats)
+        """Persist one result and drop any failure recorded for its key,
+        in one transaction."""
+        blob = pickle.dumps(result.stats, protocol=4)
+        row = (key, MODEL_VERSION, result.program_name, result.config_name,
+               result.scheme_name, 1 if result.halted else 0, result.cycles,
+               json.dumps(meta or {}, sort_keys=True), blob,
+               zlib.crc32(blob))
+        with self._lock:
+            db = self._db(create=True)
+            with _transaction(db):
+                db.execute(_INSERT_CELL, row)
+                db.execute("DELETE FROM failures WHERE key=?", (key,))
 
     def clear(self):
-        """Delete every stored cell (keeps the directory)."""
+        """Delete every stored cell and failure record (keeps the
+        directory)."""
         with self._lock:
-            active, self._active = self._active, None
-            if active is not None:
-                try:
-                    active["handle"].close()
-                except OSError:
-                    pass
-            if self._manifest is not None:
-                self._manifest.close()
-                self._manifest = None
+            self.close()
             for suffix in ("", "-wal", "-shm"):
                 try:
                     os.unlink(str(self.manifest_path) + suffix)
                 except OSError:
                     pass
-            shutil.rmtree(self.segments_dir, ignore_errors=True)
+
+    def _delete_cells(self, keys):
+        with self._lock:
+            db = self._db()
+            with _transaction(db):
+                for start in range(0, len(keys), _IN_CHUNK):
+                    chunk = keys[start:start + _IN_CHUNK]
+                    db.execute("DELETE FROM cells WHERE key IN (%s)"
+                               % ",".join("?" * len(chunk)), chunk)
 
     # -- failure records --------------------------------------------------
 
-    @property
-    def failures_dir(self):
-        return self.root / "failures"
-
-    def _failure_path(self, key):
-        for path in self.failures_dir.glob("*__%s.json" % key[:12]):
-            return path
-        return None
-
     def save_failure(self, failure):
-        """Persist one :class:`CellFailure` atomically; returns its path.
+        """Persist one :class:`CellFailure`, replacing any earlier
+        record for its key."""
+        record = failure.to_dict()
+        with self._lock:
+            self._db(create=True).execute(
+                "INSERT OR REPLACE INTO failures (%s) VALUES (%s)"
+                % (", ".join(record), ", ".join("?" * len(record))),
+                tuple(record.values()))
 
-        Failures live under ``failures/`` with the same browsable
-        prefix + digest naming (:func:`cell_filename`).  Saving is
-        idempotent per key (atomic replace), so a failure re-recorded by
-        a retried campaign never duplicates.
-        """
-        directory = self.failures_dir
-        directory.mkdir(parents=True, exist_ok=True)
-        name = cell_filename(failure.benchmark, failure.config_name or "-",
-                             failure.scheme_name, failure.key)
-        path = directory / name
-        fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(failure.to_dict(), handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+    def _select_failures(self, where="", args=()):
+        return [CellFailure(*row) for row in self._rows(
+            "SELECT %s FROM failures %s ORDER BY benchmark, config_name,"
+            " scheme_name, key" % (", ".join(CellFailure.__slots__), where),
+            args)]
 
     def load_failure(self, key):
         """The persisted :class:`CellFailure` for ``key``, or ``None``."""
-        path = self._failure_path(key)
-        if path is None:
-            return None
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-            if data.get("key") != key:
-                return None  # digest-prefix collision
-            return CellFailure.from_dict(data)
-        except (OSError, ValueError, TypeError):
-            return None
+        found = self._select_failures("WHERE key=?", (key,))
+        return found[0] if found else None
 
     def failures(self):
         """Every persisted failure record, sorted by benchmark/config."""
-        records = []
-        for path in sorted(self.failures_dir.glob("*.json")):
-            try:
-                with open(path) as handle:
-                    records.append(CellFailure.from_dict(json.load(handle)))
-            except (OSError, ValueError, TypeError):
-                continue
-        return records
-
-    def clear_failure(self, key):
-        """Drop the failure record for ``key`` (first-result-wins).
-
-        Called whenever a result for the cell lands — a retry that
-        succeeded — so a cell is never simultaneously a result and a
-        failure.  Returns True when a record was removed.
-        """
-        path = self._failure_path(key)
-        if path is None:
-            return False
-        try:
-            path.unlink()
-        except OSError:
-            return False
-        return True
+        return self._select_failures()
 
     # -- eviction / integrity ---------------------------------------------
 
     def verify(self):
-        """Integrity sweep: quarantine corrupt cells, drop stale ones.
+        """Integrity sweep: delete corrupt and stale cells.
 
-        Every record is re-read and validated (frame + CRC + JSON + key
-        match + identity names + :meth:`SimStats.from_dict`).  A segment
-        holding any corrupt record has its healthy records salvaged
-        into a fresh segment, then the whole file is set aside with a
-        ``.corrupt`` suffix — out of the index, preserved for
-        post-mortem.  Cells whose
-        ``model_version`` stamp differs from the running
-        :data:`MODEL_VERSION` are *stale*: unreachable anyway (their
-        keys can never be recomputed), their index rows are dropped and
-        their bytes reclaimed at the next :meth:`compact`.  Offline
-        operation.
+        Every row is checked: a 64-hex key, string identity names, and
+        statistics that pass their CRC and unpickle as
+        :class:`SimStats`.  A row failing any check is *corrupt*.  A
+        healthy row whose ``model_version`` differs from the running
+        :data:`MODEL_VERSION` is *stale*: unreachable anyway (its key
+        can never be recomputed).  Both are deleted.  Offline operation.
         Returns ``{"scanned", "kept", "corrupt", "stale"}``.
         """
         summary = {"scanned": 0, "kept": 0, "corrupt": 0, "stale": 0}
-        with self._lock:
-            manifest = self._manifest_if_exists()
-            if manifest is not None:
-                self._verify_segments(manifest, summary)
+        drop = []
+        for key, version, *names, blob, crc in self._rows(
+                "SELECT key, model_version, benchmark, config, scheme,"
+                " stats, crc FROM cells"):
+            verdict = "kept" if version == MODEL_VERSION else "stale"
+            try:
+                _decode_stats(key, blob, crc)
+                if len(key) != 64 or not all(
+                        isinstance(name, str) for name in names):
+                    verdict = "corrupt"
+            except CorruptRecord:
+                verdict = "corrupt"
+            summary["scanned"] += 1
+            summary[verdict] += 1
+            if verdict != "kept":
+                drop.append(key)
+        if drop:
+            self._delete_cells(drop)
         return summary
 
-    def _walk_records(self, manifest):
-        """Yield ``(row, record)`` for every indexed cell in (segment,
-        offset) order, opening each segment once.
-
-        ``record`` is the framed bytes as stored — not yet validated —
-        or ``None`` when its segment cannot be opened or read.
-        """
-        current_name, handle = None, None
-        try:
-            for row in manifest.iter_cells(with_stats=False):
-                if row["segment_name"] != current_name:
-                    if handle is not None:
-                        handle.close()
-                    current_name, handle = row["segment_name"], None
-                    try:
-                        handle = open(self.segments_dir / current_name, "rb")
-                    except OSError:
-                        pass
-                record = None
-                if handle is not None:
-                    try:
-                        handle.seek(row["offset"])
-                        record = handle.read(row["length"])
-                    except OSError:
-                        pass
-                yield row, record
-        finally:
-            if handle is not None:
-                handle.close()
-
-    def _verify_segments(self, manifest, summary):
-        verdicts = {}  # segment_id -> [(key, verdict)]
-        names = {}
-        for row, record in self._walk_records(manifest):
-            names[row["segment"]] = row["segment_name"]
-            summary["scanned"] += 1
-            verdict = "corrupt"
-            if record is not None:
-                try:
-                    env = decode_envelope(unpack_record(record))
-                    key = env["key"]
-                    if (isinstance(key, str) and len(key) == 64
-                            and key == row["key"]):
-                        _check_result_record(env["result"])
-                        verdict = ("kept" if env.get("model_version")
-                                   == MODEL_VERSION else "stale")
-                except (CorruptRecord, ValueError, KeyError, TypeError):
-                    verdict = "corrupt"
-            summary[verdict] += 1
-            verdicts.setdefault(row["segment"], []).append(
-                (row["key"], verdict))
-
-        stale_keys = [key for cells in verdicts.values()
-                      for key, verdict in cells if verdict == "stale"]
-        if stale_keys:
-            manifest.delete_cells(stale_keys)
-        for segment_id, cells in verdicts.items():
-            if all(verdict != "corrupt" for _, verdict in cells):
-                continue
-            self._quarantine_segment(manifest, segment_id,
-                                     names[segment_id], cells)
-
-    def _quarantine_segment(self, manifest, segment_id, name, cells):
-        """Salvage healthy records out of a corrupt segment, then set
-        the whole file aside as ``<name>.corrupt``."""
-        if self._active is not None and self._active["id"] == segment_id:
-            self._seal_active()
-        for key, verdict in cells:
-            if verdict != "kept":
-                continue
-            row = manifest.cell(key)
-            if row is None or row["segment"] != segment_id:
-                continue  # already relocated
-            try:
-                env = self._read_at(name, row["offset"], row["length"])
-                self._append_envelope(env)
-            except (OSError, CorruptRecord, ValueError, KeyError):
-                continue
-        manifest.delete_cells(
-            [key for key, verdict in cells if verdict == "corrupt"])
-        path = self.segments_dir / name
-        try:
-            os.replace(path, str(path) + ".corrupt")
-        except OSError:
-            pass
-        manifest.delete_segment(segment_id)
-
-    def _segment_disk_bytes(self):
+    def _disk_bytes(self):
         total = 0
-        if self.segments_dir.is_dir():
-            for path in self.segments_dir.glob("*" + SEGMENT_SUFFIX):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    pass
+        for suffix in ("", "-wal", "-shm"):
+            try:
+                total += os.stat(str(self.manifest_path) + suffix).st_size
+            except OSError:
+                pass
         return total
 
     def gc(self, keep_keys):
@@ -778,129 +528,41 @@ class ResultStore:
         The targeted counterpart of :meth:`clear`: callers compute the
         keys of the grid slices they still care about and every other
         cell — stale model versions, abandoned scales, ad-hoc configs —
-        is dropped from the index, then :meth:`compact` rewrites the
-        survivors and reclaims the dead bytes.  Offline operation.
+        is deleted, then ``VACUUM`` and a WAL checkpoint return the
+        space to the file system.  Offline operation.
         Returns ``{"scanned", "kept", "dropped", "bytes_reclaimed"}``.
         """
         keep = set(keep_keys)
-        summary = {"scanned": 0, "kept": 0, "dropped": 0,
-                   "bytes_reclaimed": 0}
-        with self._lock:
-            manifest = self._manifest_if_exists()
-            if manifest is None:
-                return summary
-            all_keys = manifest.keys()
-            drop = [key for key in all_keys if key not in keep]
-            summary["scanned"] = len(all_keys)
-            summary["kept"] = len(all_keys) - len(drop)
-            summary["dropped"] = len(drop)
-            if drop:
-                manifest.delete_cells(drop)
-                before = self._segment_disk_bytes()
-                self.compact()
-                summary["bytes_reclaimed"] = max(
-                    0, before - self._segment_disk_bytes())
+        all_keys = self.keys()
+        drop = [key for key in all_keys if key not in keep]
+        summary = {"scanned": len(all_keys),
+                   "kept": len(all_keys) - len(drop),
+                   "dropped": len(drop), "bytes_reclaimed": 0}
+        if drop:
+            before = self._disk_bytes()
+            self._delete_cells(drop)
+            with self._lock:
+                self._conn.execute("VACUUM")
+                self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+            summary["bytes_reclaimed"] = max(0, before - self._disk_bytes())
         return summary
 
-    def compact(self):
-        """Fold live records into fresh sealed segments.
-
-        Copies every indexed record verbatim (CRC-checked, never
-        re-encoded) into new segments in index order, then deletes all
-        old segment files — reclaiming dead bytes left by overwrites,
-        evictions, and orphaned appends, and folding the single-record
-        segments short-lived writer instances leave behind.  Records
-        whose CRC fails during the copy are dropped from the index and
-        counted.  Offline operation.  Returns a summary dict.
-        """
-        with self._lock:
-            manifest = self._manifest_if_exists()
-            summary = {"cells": 0, "segments_before": 0, "segments_after": 0,
-                       "bytes_before": 0, "bytes_after": 0,
-                       "corrupt_dropped": 0}
-            if manifest is None:
-                return summary
-            self._seal_active()
-            old_segments = manifest.segments()
-            summary["segments_before"] = len(old_segments)
-            summary["bytes_before"] = self._segment_disk_bytes()
-
-            moves = []  # (segment_id, offset, key)
-            dropped = []
-            writer = None  # {"id","path","handle","offset"}
-            new_ids = set()
-            try:
-                for row, record in self._walk_records(manifest):
-                    try:
-                        # An unreadable record (None) fails as too short.
-                        unpack_record(record or b"")
-                    except CorruptRecord:
-                        dropped.append(row["key"])
-                        continue
-                    if writer is not None and writer["offset"] > 0 and \
-                            writer["offset"] + len(record) > self.segment_bytes:
-                        writer["handle"].close()
-                        manifest.seal_segment(writer["id"])
-                        writer = None
-                    if writer is None:
-                        segment_id, name = manifest.add_segment()
-                        new_ids.add(segment_id)
-                        self.segments_dir.mkdir(parents=True, exist_ok=True)
-                        path = self.segments_dir / name
-                        writer = {"id": segment_id, "path": path,
-                                  "handle": open(path, "ab"), "offset": 0}
-                    moves.append((writer["id"], writer["offset"], row["key"]))
-                    writer["handle"].write(record)
-                    writer["offset"] += len(record)
-                    summary["cells"] += 1
-            finally:
-                if writer is not None:
-                    writer["handle"].flush()
-                    writer["handle"].close()
-                    manifest.seal_segment(writer["id"])
-
-            manifest.relocate_cells(moves)
-            if dropped:
-                manifest.delete_cells(dropped)
-                summary["corrupt_dropped"] = len(dropped)
-            for segment in old_segments:
-                if segment["id"] in new_ids:
-                    continue
-                try:
-                    os.unlink(self.segments_dir / segment["name"])
-                except OSError:
-                    pass
-                manifest.delete_segment(segment["id"])
-            summary["segments_after"] = len(new_ids)
-            summary["bytes_after"] = self._segment_disk_bytes()
-            return summary
-
     def stats(self):
-        """Store-level accounting for ``python -m repro store stats``."""
-        manifest = self._manifest_if_exists()
-        manifest_bytes = 0
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                manifest_bytes += os.stat(
-                    str(self.manifest_path) + suffix).st_size
-            except OSError:
-                pass
-        segment_count = 0
-        if self.segments_dir.is_dir():
-            segment_count = sum(
-                1 for _ in self.segments_dir.glob("*" + SEGMENT_SUFFIX))
-        live, raw = manifest.totals() if manifest is not None else (0, 0)
-        segment_bytes = self._segment_disk_bytes()
+        """Store-level accounting for ``python -m repro store stats``.
+
+        ``live_bytes`` sums each cell's ``stats`` and ``meta`` bytes;
+        ``disk_bytes`` is the file's size with its WAL.
+        """
+        counts = self._rows(
+            "SELECT COUNT(*), COALESCE(SUM(LENGTH(stats)"
+            " + LENGTH(CAST(meta AS BLOB))), 0),"
+            " (SELECT COUNT(*) FROM failures) FROM cells")
+        cells, live, failures = counts[0] if counts else (0, 0, 0)
         return {
             "root": str(self.root),
             "format": FORMAT_VERSION,
-            "cells": manifest.count() if manifest is not None else 0,
-            "segments": segment_count,
-            "segment_bytes": segment_bytes,
-            "manifest_bytes": manifest_bytes,
-            "disk_bytes": segment_bytes + manifest_bytes,
+            "cells": cells,
+            "disk_bytes": self._disk_bytes(),
             "live_bytes": live,
-            "raw_bytes": raw,
-            "compression_ratio": (raw / live) if live else None,
-            "failures": len(self.failures()),
+            "failures": failures,
         }

@@ -2,8 +2,9 @@
 
 Each cell has the shape the store keeps of a real campaign result —
 identity, ``halted``, ``cycles`` and statistics with ~40
-cycle-accounting extras — and is deterministic in its index, so ``scripts/store_scale_smoke.py`` and
-the segment-store tests can build large stores without simulating.
+cycle-accounting extras — and is deterministic in its index, so
+``scripts/store_scale_smoke.py`` and the store tests can build large
+stores without simulating.
 """
 
 import hashlib

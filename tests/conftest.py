@@ -2,12 +2,19 @@
 
 import json
 import pathlib
+import re
+import sqlite3
 
 import pytest
 
 from repro import MEGA, SMALL, OoOCore, make_scheme, run_reference
 from repro.core.registry import scheme_names
-from repro.harness.store import MODEL_VERSION, cell_filename
+from repro.harness.store import (
+    MANIFEST_NAME,
+    MODEL_VERSION,
+    CorruptRecord,
+    ResultStore,
+)
 from repro.pipeline.core import SimulationResult
 from repro.workloads.generator import WorkloadProfile, generate_program
 
@@ -78,9 +85,44 @@ def small_program(name="test", seed=1, **overrides):
     return generate_program(small_profile(name, **overrides), seed=seed)
 
 
+def damage_stats(root, key):
+    """Flip the first bytes of one stored cell's ``stats`` blob, as a
+    torn write or bit rot would, leaving its CRC as it was."""
+    db = sqlite3.connect(str(pathlib.Path(root) / MANIFEST_NAME))
+    (blob,) = db.execute("SELECT stats FROM cells WHERE key=?",
+                         (key,)).fetchone()
+    db.execute("UPDATE cells SET stats=? WHERE key=?",
+               (bytes(255 - b for b in blob[:8]) + blob[8:], key))
+    db.commit()
+    db.close()
+
+
+def assert_damaged_cell_refused(root, key):
+    """A damaged cell reads as absent through ``load``, and touching a
+    lazily loaded copy's statistics names ``store verify``."""
+    store = ResultStore(root)
+    assert store.load(key) is None
+    lazy = store.load_many([key])[key]
+    with pytest.raises(CorruptRecord, match="python -m repro store verify"):
+        lazy.stats
+    store.close()
+
+
 #: The golden equivalence fixture (see tests/pipeline/
 #: test_kernel_equivalence.py): one JSON envelope file per cell.
 GOLDEN_DIR = pathlib.Path(__file__).parent / "pipeline" / "golden_store"
+
+
+_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def cell_filename(benchmark, config_name, scheme_name, key):
+    """Browsable fixture filename for one cell: readable prefix + the
+    key's first 12 hex digits (``load_golden`` checks the full key)."""
+    prefix = "__".join(
+        _SAFE.sub("-", part) for part in (benchmark, config_name, scheme_name)
+    )
+    return "%s__%s.json" % (prefix, key[:12])
 
 
 def load_golden(key):

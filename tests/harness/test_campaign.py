@@ -4,6 +4,7 @@ cell failures and resume, progress reporting."""
 import io
 import json
 import os
+import sqlite3
 from array import array
 from concurrent.futures.process import BrokenProcessPool
 
@@ -13,10 +14,17 @@ import repro.harness.parallel as parallel
 from repro.harness.parallel import run_cells
 from repro.harness.progress import ProgressReporter
 from repro.harness.runner import CampaignRunner, shared_runner
-from repro.harness.store import ResultStore, result_record, simulation_key
+from repro.harness.store import (
+    MANIFEST_NAME,
+    ResultStore,
+    result_record,
+    simulation_key,
+)
+from repro.harness.storebench import synthetic_result
 from repro.pipeline.config import CoreConfig, MEDIUM, MEGA, SMALL
 from repro.pipeline.stats import SimStats
 from repro.workloads.program_cache import cached_spec_trace
+from tests.conftest import assert_damaged_cell_refused, damage_stats
 
 BENCH = "503.bwaves"
 SUBSET = ("503.bwaves", "548.exchange2")
@@ -175,41 +183,30 @@ def test_runner_preload_from_store(tmp_path):
 
 
 def test_store_verify_drops_corrupt_and_stale(tmp_path):
-    from repro.harness.store import MODEL_VERSION
-
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     key = runner.cell_key(BENCH, SMALL, "baseline")
     result = runner.run(BENCH, SMALL, "baseline")
-    store.save(key, result)
-    # Beside the healthy cell, in the same segment: a record without a
-    # result payload (corrupt) and one from an older model (stale).
-    store._append_envelope({"key": "c" * 64, "model_version": MODEL_VERSION,
-                            "meta": {}})
-    stale = dict(store.load_envelope(key))
-    stale["model_version"] = "0.0.0-ancient"
-    stale["key"] = "d" * 64
-    store._append_envelope(stale)
+    # Beside the healthy cell: one whose statistics blob is damaged
+    # (corrupt) and one stamped by an older model (stale).
+    for cell in (key, "b" * 64, "d" * 64):
+        store.save(cell, result)
     store.close()
-    # A second segment whose only record fails its CRC.
-    damaged = ResultStore(tmp_path)
-    segment = damaged.save("b" * 64, result)
-    damaged.close()
-    blob = bytearray(segment.read_bytes())
-    blob[16:20] = b"\xff\xff\xff\xff"
-    segment.write_bytes(bytes(blob))
+    damage_stats(tmp_path, "b" * 64)
+    db = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    db.execute("UPDATE cells SET model_version='0.0.0-ancient' WHERE key=?",
+               ("d" * 64,))
+    db.commit()
+    db.close()
+    assert_damaged_cell_refused(tmp_path, "b" * 64)
 
     store = ResultStore(tmp_path)
     summary = store.verify()
-    assert summary == {"scanned": 4, "kept": 1, "corrupt": 2, "stale": 1}
-    # Segments holding corrupt records are quarantined aside
-    # (forensics), not destroyed; the healthy cell was salvaged and the
-    # stale one dropped from the index.
-    assert len(list((tmp_path / "segments").glob("*.corrupt"))) == 2
-    assert store.load(key) is not None  # the healthy cell survived
-    assert store.load("d" * 64) is None
-    # The set-aside copies are invisible to the store.
-    assert len(store) == 1
+    assert summary == {"scanned": 3, "kept": 1, "corrupt": 1, "stale": 1}
+    # Corrupt and stale rows are deleted; the healthy cell survives.
+    assert store.keys() == [key]
+    assert store.load(key) is not None
+    assert store.load("b" * 64) is None and store.load("d" * 64) is None
     assert store.verify() == {"scanned": 1, "kept": 1, "corrupt": 0,
                               "stale": 0}
 
@@ -218,33 +215,23 @@ def test_store_failure_records_round_trip(tmp_path):
     from repro.harness.store import CellFailure
 
     store = ResultStore(tmp_path)
-    assert store.failures() == []  # no failures/ dir yet: empty, no error
+    assert store.failures() == []  # no store file yet: empty, no error
     failure = CellFailure(key="f" * 64, benchmark="503.bwaves",
                           config_name="small", scheme_name="baseline",
-                          kind="poisoned", attempts=3, worker="w1",
-                          error="worker died 3 time(s)", traceback=None)
+                          worker="w1", error="RuntimeError: boom",
+                          traceback="Traceback ...")
     store.save_failure(failure)
     loaded = store.load_failure("f" * 64)
     assert loaded.to_dict() == failure.to_dict()
     records = store.failures()
     assert len(records) == 1 and records[0].key == "f" * 64
-    # Failure records live under failures/ and are invisible to the
-    # result index and to verify().
+    # Failure records are invisible to the result index and to verify().
     assert len(store) == 0
     assert store.verify()["scanned"] == 0
     # A late first result clears the record (first-result-wins).
-    assert store.clear_failure("f" * 64)
-    assert not store.clear_failure("f" * 64)  # idempotent
+    store.save("f" * 64, synthetic_result(0))
     assert store.load_failure("f" * 64) is None
     assert store.failures() == []
-
-
-def test_cell_failure_rejects_unknown_kind():
-    from repro.harness.store import CellFailure
-
-    with pytest.raises(ValueError):
-        CellFailure(key="0" * 64, benchmark="b", config_name="c",
-                    scheme_name="s", kind="cosmic-rays")
 
 
 def test_store_gc_keeps_only_requested_keys(tmp_path):
@@ -259,7 +246,7 @@ def test_store_gc_keeps_only_requested_keys(tmp_path):
     assert summary["scanned"] == 2
     assert summary["kept"] == 1
     assert summary["dropped"] == 1
-    assert summary["bytes_reclaimed"] > 0  # dead bytes compacted away
+    assert summary["bytes_reclaimed"] > 0  # VACUUM shrank the file
     assert store.load(keep_key) is not None
     assert store.load(drop_key) is None
 
@@ -380,17 +367,18 @@ POISON = ("548.exchange2", "nda")
 
 
 def store_bytes(root):
-    """``{key: canonical envelope bytes}`` of every cell in a store.
-
-    Segment *files* are append logs whose record order depends on which
-    cell finished first, so equivalence is asserted per envelope (key,
-    model version, meta, full result payload), where the store contract
-    lives.
-    """
+    """``{key: canonical bytes}`` of every cell in a store: its model
+    version, meta and :func:`result_record`, where the store contract
+    lives (row order depends on which cell finished first)."""
     store = ResultStore(root)
-    return {key: json.dumps(store.load_envelope(key),
-                            sort_keys=True).encode("utf-8")
-            for key in store.keys()}
+    db = sqlite3.connect(str(root / MANIFEST_NAME))
+    rows = db.execute("SELECT key, model_version, meta FROM cells")
+    cells = {key: json.dumps([version, json.loads(meta),
+                              result_record(store.load(key))],
+                             sort_keys=True).encode("utf-8")
+             for key, version, meta in rows}
+    db.close()
+    return cells
 
 
 def serial_store(tmp_path):
@@ -455,7 +443,6 @@ def test_raising_pool_cell_is_recorded_and_rerun_resumes(tmp_path,
     assert summary["failed"] == 1 and summary["simulated"] == 3
     poison_key = runner.cell_key(POISON[0], SMALL, POISON[1])
     [failure] = ResultStore(root).failures()
-    assert failure.kind == "deterministic"
     assert failure.key == poison_key
     assert (failure.benchmark, failure.config_name, failure.scheme_name) \
         == (POISON[0], "small", POISON[1])
@@ -491,7 +478,6 @@ def test_cell_differing_from_reference_is_recorded(tmp_path, monkeypatch,
     assert {(f.benchmark, f.scheme_name) for f in failures} == {
         (POISON[0], scheme) for scheme in SCHEMES}
     for failure in failures:
-        assert failure.kind == "deterministic"
         assert "final %s differ" % field in failure.error
     stored = {runner.cell_key(SUBSET[0], SMALL, scheme)
               for scheme in SCHEMES}
@@ -501,11 +487,11 @@ def test_cell_differing_from_reference_is_recorded(tmp_path, monkeypatch,
 def test_campaign_records_hold_no_snapshot(tmp_path):
     _runner, summary = campaign(tmp_path, jobs=1)
     assert summary["simulated"] == 4
-    store = ResultStore(tmp_path)
-    for key in store.keys():
-        assert set(store.load_envelope(key)["result"]) == {
-            "program_name", "scheme_name", "config_name", "halted",
-            "cycles", "stats"}
+    db = sqlite3.connect(str(tmp_path / MANIFEST_NAME))
+    columns = {row[1] for row in db.execute("PRAGMA table_info(cells)")}
+    db.close()
+    assert columns == {"key", "model_version", "benchmark", "config",
+                       "scheme", "halted", "cycles", "meta", "stats", "crc"}
 
 
 def test_dying_pool_worker_aborts_and_rerun_resumes(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from repro.harness.bench import profile_cell
 from repro.harness.runner import CampaignRunner
 from repro.harness.store import ResultStore
 from repro.pipeline.config import SMALL
+from tests.conftest import assert_damaged_cell_refused, damage_stats
 
 BENCH = "503.bwaves"
 
@@ -27,21 +28,19 @@ def test_cli_store_verify_and_gc(tmp_path, capsys):
     store = ResultStore(tmp_path)
     runner = CampaignRunner(scale=0.05, benchmarks=(BENCH,))
     # One healthy in-grid cell (default scale 1.0 for gc, so save one
-    # at scale 1.0 identity), one corrupt record in its own segment.
+    # at scale 1.0 identity), one whose statistics blob is damaged.
     grid_runner = CampaignRunner(scale=1.0, benchmarks=(BENCH,))
     key = grid_runner.cell_key(BENCH, SMALL, "baseline")
     store.save(key, runner.run(BENCH, SMALL, "baseline"))
+    store.save("e" * 64, runner.run(BENCH, SMALL, "nda"))
     store.close()
-    junk = ResultStore(tmp_path)
-    segment = junk.save("e" * 64, runner.run(BENCH, SMALL, "nda"))
-    junk.close()
-    blob = bytearray(segment.read_bytes())
-    blob[16:20] = b"\xff\xff\xff\xff"  # kill the record's CRC
-    segment.write_bytes(bytes(blob))
+    damage_stats(tmp_path, "e" * 64)
+    assert_damaged_cell_refused(tmp_path, "e" * 64)
 
     assert main(["store", "verify", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "2 scanned" in out and "1 corrupt set aside" in out
+    assert "2 scanned" in out and "1 corrupt deleted" in out
+    assert ResultStore(tmp_path).keys() == [key]
 
     assert main(["store", "gc", "--store-dir", str(tmp_path),
                  "--benchmarks", BENCH]) == 0
@@ -66,15 +65,15 @@ def test_cli_store_failures(tmp_path, capsys):
 
     store.save_failure(CellFailure(
         key="a" * 64, benchmark=BENCH, config_name="small",
-        scheme_name="baseline", kind="timeout", attempts=2, worker="w9",
-        error="cell exceeded the 5.0s wall-clock deadline"))
+        scheme_name="baseline", worker="w9",
+        error="ValueError: final registers differ from the reference"))
     # Any recorded failure makes the action exit nonzero (scriptable in
     # CI as a campaign-health check).
     assert main(["store", "failures", "--store-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "1 recorded" in out
-    assert BENCH in out and "timeout" in out and "x2" in out
-    assert "wall-clock" in out
+    assert "a" * 64 in out and BENCH + "/small/baseline" in out
+    assert "worker w9" in out and "final registers differ" in out
 
 
 def test_cli_grid_records_failed_cell_and_rerun_resumes(tmp_path, capsys,
@@ -96,7 +95,11 @@ def test_cli_grid_records_failed_cell_and_rerun_resumes(tmp_path, capsys,
     assert "1 simulated" in capsys.readouterr().out
     assert main(["store", "failures", "--store-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "deterministic" in out and "injected simulation fault" in out
+    assert "injected simulation fault" in out
+    # Results and failures share the one store file; ``programs/`` is
+    # the program cache the CLI keeps beside it.
+    assert {path.name for path in tmp_path.iterdir()} <= {
+        "manifest.db", "manifest.db-wal", "manifest.db-shm", "programs"}
 
     monkeypatch.undo()
     assert main(args) == 0
@@ -255,11 +258,12 @@ def test_cli_store_stats_and_verbs(tmp_path, capsys):
     store.close()
     assert main(["store", "stats", "--store-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "format segments-v1" in out and "cells: 1" in out
-    # Segments are the only format: there is nothing to migrate.
-    with pytest.raises(SystemExit) as info:
-        main(["store", "migrate", "--store-dir", str(tmp_path)])
-    assert info.value.code == 2
+    assert "format cells-v2" in out and "cells: 1" in out
+    # One format and one file: nothing to migrate, nothing to compact.
+    for verb in ("migrate", "compact"):
+        with pytest.raises(SystemExit) as info:
+            main(["store", verb, "--store-dir", str(tmp_path)])
+        assert info.value.code == 2
 
 
 def test_cli_bench_verb_is_gone():

@@ -1,9 +1,9 @@
-"""Store-backed reports: served from the manifest, never the segments.
+"""Store-backed reports: one bulk read per experiment.
 
-A report over a warm store must cost one bulk index read per
-experiment and no segment I/O: every experiment reads only
-statistics, which the manifest holds, and its ``needs`` declaration
-lets :func:`run_experiment` fetch all its cells in one ``load_many``.
+A report over a warm store must cost one bulk read per experiment and
+no per-cell lookup: every experiment reads only statistics, which each
+stored row holds, and its ``needs`` declaration lets
+:func:`run_experiment` fetch all its cells in one ``load_many``.
 These tests count calls, not time.
 """
 
@@ -18,9 +18,9 @@ from repro.harness.experiments import (
     run_experiment,
 )
 from repro.harness.runner import CampaignRunner
-from repro.harness.segments import SEGMENT_DIR, SEGMENT_SUFFIX
-from repro.harness.store import ResultStore
+from repro.harness.store import CorruptRecord, ResultStore
 from repro.pipeline.config import SMALL, named_configs
+from tests.conftest import assert_damaged_cell_refused, damage_stats
 
 SCALE = 0.02
 BENCHMARKS = ("503.bwaves", "548.exchange2")
@@ -60,9 +60,9 @@ def _count(monkeypatch, owner, name, calls):
 def test_warm_store_report_reads_no_segment(warm_store, monkeypatch,
                                             experiment_id):
     root, expected = warm_store
-    calls = dict.fromkeys(("_read_at", "load", "load_many", "save",
+    calls = dict.fromkeys(("load", "load_many", "save",
                            "simulate_cell", "run_cells"), 0)
-    for name in ("_read_at", "load", "load_many", "save"):
+    for name in ("load", "load_many", "save"):
         _count(monkeypatch, ResultStore, name, calls)
     for name in ("simulate_cell", "run_cells"):
         _count(monkeypatch, runner_module, name, calls)
@@ -73,7 +73,6 @@ def test_warm_store_report_reads_no_segment(warm_store, monkeypatch,
     store.close()
 
     assert text == expected[experiment_id]
-    assert calls["_read_at"] == 0, "report decoded a segment record"
     assert calls["load"] == 0
     # One bulk read: the experiment's ``needs`` covers every cell it
     # reads, so no per-cell lookup follows the preload.
@@ -96,17 +95,16 @@ def test_needed_cells_dedups_and_follows_runner_selection():
     assert needed_cells(("exchange2",), bwaves_only) == []
 
 
-def test_corrupt_segment_served_from_manifest_and_named_by_verify(
+def test_corrupt_stats_refused_on_touch_and_deleted_by_verify(
         tmp_path, monkeypatch):
     bench = BENCHMARKS[0]
     writer = CampaignRunner(scale=SCALE, benchmarks=(bench,),
                             store=ResultStore(tmp_path))
-    expected = writer.run(bench, SMALL, "baseline")
+    writer.run(bench, SMALL, "baseline")
     writer.store.close()
-    (segment,) = sorted((tmp_path / SEGMENT_DIR).glob("*" + SEGMENT_SUFFIX))
-    blob = bytearray(segment.read_bytes())
-    blob[-4:] = bytes(255 - b for b in blob[-4:])  # payload CRC dies
-    segment.write_bytes(bytes(blob))
+    key = writer.cell_key(bench, SMALL, "baseline")
+    damage_stats(tmp_path, key)
+    assert_damaged_cell_refused(tmp_path, key)
 
     def no_simulation(spec):
         raise AssertionError("a stored cell was resimulated")
@@ -114,11 +112,14 @@ def test_corrupt_segment_served_from_manifest_and_named_by_verify(
     monkeypatch.setattr(runner_module, "simulate_cell", no_simulation)
     reader = CampaignRunner(scale=SCALE, benchmarks=(bench,),
                             store=ResultStore(tmp_path))
+    # The report path has no second copy to fall back to: it names the
+    # damage instead of serving or silently resimulating it.
     result = reader.run(bench, SMALL, "baseline")
-    # Statistics come from the manifest, so the report path still works.
-    assert result.stats.to_dict() == expected.stats.to_dict()
-    assert result.cycles == expected.cycles
+    with pytest.raises(CorruptRecord, match="python -m repro store verify"):
+        result.stats
     reader.store.close()
-    # The damaged record is found by the integrity sweep.
-    assert ResultStore(tmp_path).verify() == {
+    # The integrity sweep deletes the row, so the next run resimulates.
+    store = ResultStore(tmp_path)
+    assert store.verify() == {
         "scanned": 1, "kept": 0, "corrupt": 1, "stale": 0}
+    assert store.load(key) is None and len(store) == 0
